@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -288,9 +290,10 @@ func TestKillAndRecoverBitIdentity(t *testing.T) {
 }
 
 // TestFrontendServesWireProtocol drives a coordinator through its TCP
-// front-end with the ordinary pooled client: ingest, query, snapshot,
-// cluster — and checks the merged answers equal a serial single-engine run
-// of the same stream.
+// front-end: first with the ordinary pooled client (ingest, query,
+// snapshot, cluster), then with 8 batches pipelined on one raw connection,
+// whose acks must come back in request order — and checks the merged
+// answers equal a serial single-engine run of the same stream.
 func TestFrontendServesWireProtocol(t *testing.T) {
 	schema := fleetSchema(t)
 	fl := newFleet(t, schema)
@@ -308,18 +311,53 @@ func TestFrontendServesWireProtocol(t *testing.T) {
 	}
 	t.Cleanup(func() { cl.Close() })
 
-	tuples := fleetTuples(2000)
+	tuples := fleetTuples(4000)
 	serial, err := fl.engine()
 	if err != nil {
 		t.Fatal(err)
 	}
 	const chunk = 400
-	for off := 0; off < len(tuples); off += chunk {
-		end := min(off+chunk, len(tuples))
-		if err := cl.IngestBatch(tuples[off:end]); err != nil {
+	for off := 0; off < 2000; off += chunk {
+		if err := cl.IngestBatch(tuples[off : off+chunk]); err != nil {
 			t.Fatal(err)
 		}
-		serial.ProcessBatch(tuples[off:end])
+		serial.ProcessBatch(tuples[off : off+chunk])
+	}
+
+	// Pipelined phase: 8 batches in flight on one connection, written in a
+	// single burst before any ack is read.
+	const inflight, per = 8, 250
+	nc, err := net.Dial("tcp", fe.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(10 * time.Second))
+	var burst []byte
+	for i := 0; i < inflight; i++ {
+		batch := tuples[2000+i*per : 2000+(i+1)*per]
+		payload, err := client.EncodeBatch(schema, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if burst, err = proto.AppendFrame(burst, proto.Frame{Type: proto.TIngest, ID: uint64(100 + i), Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+		serial.ProcessBatch(batch)
+	}
+	if _, err := nc.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	fr := proto.NewFrameReader(nc)
+	for i := 0; i < inflight; i++ {
+		f, err := fr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ack, err := proto.DecodeIngestAck(f.Payload)
+		if f.Type != proto.TOK || err != nil || f.ID != uint64(100+i) || ack.Tuples != per {
+			t.Fatalf("pipelined reply %d: %v id=%d %+v %v, want ack of %d tuples for id %d", i, f.Type, f.ID, ack, err, per, 100+i)
+		}
 	}
 	if err := co.Flush(); err != nil {
 		t.Fatal(err)
@@ -355,6 +393,61 @@ func TestFrontendServesWireProtocol(t *testing.T) {
 	}
 	if err := cl.Ping(time.Second); err != nil {
 		t.Errorf("ping through the front-end: %v", err)
+	}
+}
+
+// TestFrontendIngestRejectsBadBatches is the front-end twin of the leaf's
+// bad-batch test: a schema mismatch and a garbage payload are refused with
+// remote errors, the connection survives both, and no tuple is routed.
+func TestFrontendIngestRejectsBadBatches(t *testing.T) {
+	schema := fleetSchema(t)
+	fl := newFleet(t, schema)
+	t.Cleanup(fl.closeAll)
+	co := startCoordinator(t, fl, 2, "leaf")
+	fe, err := Serve(co, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fe.Close() })
+	cl, err := client.Dial(fe.Addr(), schema, client.Options{Conns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+
+	other, err := stream.NewSchema("X", "B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := client.EncodeBatch(other, fleetTuples(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var remote *client.RemoteError
+	if err := cl.IngestEncoded(payload, 5); !errors.As(err, &remote) || !strings.Contains(err.Error(), "schema") {
+		t.Fatalf("schema mismatch not rejected: %v", err)
+	}
+	if err := cl.IngestEncoded([]byte("not a batch"), 1); !errors.As(err, &remote) {
+		t.Fatalf("garbage payload not rejected: %v", err)
+	}
+
+	// The connection survives both refusals, and nothing reached the router.
+	sn, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sn.TuplesIngested != 0 || sn.Batches != 0 {
+		t.Fatalf("refused batches were routed: %+v", sn)
+	}
+	if err := co.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	q, err := cl.Query(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Tuples != 0 {
+		t.Fatalf("fleet applied %d tuples from refused batches", q.Tuples)
 	}
 }
 

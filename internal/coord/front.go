@@ -1,247 +1,136 @@
-// The coordinator's wire front-end: a TCP listener speaking internal/proto
-// so producers and queriers talk to the fleet exactly as they would to one
-// impserved — the pooled client, impbench and a parent coordinator all work
-// unchanged. Ingest frames route into the coordinator's partition table and
-// are acknowledged once buffered (durability at this tier is the journal
-// plus the leaves' checkpoints); Query and Snapshot answer from the merged
-// fleet state; Cluster reports membership. The front-end is a control-plane
-// loop — one reader per connection, replies written in request order — not
-// the leaves' vectored hot path: the fan-out to N leaves, not front-end
-// framing, bounds fleet throughput.
+// The coordinator's wire front-end: the leaf's protocol served on the same
+// connection skeleton a leaf runs on (internal/wiresrv), so producers and
+// queriers talk to the fleet exactly as they would to one impserved — the
+// pooled client, impbench and a parent coordinator all work unchanged, and
+// the front-end pipelines requests, coalesces acks into vectored writes
+// and decodes batches exactly like a leaf. Ingest frames route into the
+// coordinator's partition table and are acknowledged once buffered
+// (durability at this tier is the journal plus the leaves' checkpoints);
+// Query and Snapshot answer from the merged fleet state; Cluster reports
+// membership.
 package coord
 
 import (
-	"bytes"
 	"fmt"
-	"io"
-	"net"
-	"sync"
-	"time"
 
 	"implicate/internal/obs"
 	"implicate/internal/proto"
 	"implicate/internal/stream"
 	"implicate/internal/telemetry"
+	"implicate/internal/wiresrv"
 )
-
-// frontDrainGrace mirrors the server's: how long connection readers may
-// finish in-flight requests after Close.
-const frontDrainGrace = 200 * time.Millisecond
 
 // Frontend serves the coordinator over the wire protocol. Create with
 // Serve.
 type Frontend struct {
-	co *Coordinator
-	ln net.Listener
-
-	connMu   sync.Mutex
-	conns    map[net.Conn]struct{}
-	draining bool
-	wg       sync.WaitGroup
-
-	closeOnce sync.Once
+	co   *Coordinator
+	wire *wiresrv.Server
 }
 
 // Serve starts a front-end listener for co on addr.
 func Serve(co *Coordinator, addr string) (*Frontend, error) {
-	ln, err := net.Listen("tcp", addr)
+	fe := &Frontend{co: co}
+	w, err := wiresrv.Listen(wiresrv.Config{
+		Addr: addr,
+		// The front-end keeps no per-connection state: every connection
+		// shares the one handler.
+		NewHandler: func() wiresrv.Handler { return fe },
+		Tel:        &co.tel,
+		Tracer:     co.tracer,
+		Logf:       co.logf,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("coord: %w", err)
 	}
-	fe := &Frontend{co: co, ln: ln, conns: make(map[net.Conn]struct{})}
-	fe.wg.Add(1)
-	go fe.acceptLoop()
+	fe.wire = w
+	w.Serve()
 	return fe, nil
 }
 
 // Addr returns the bound listen address (useful with ":0").
-func (fe *Frontend) Addr() string { return fe.ln.Addr().String() }
+func (fe *Frontend) Addr() string { return fe.wire.Addr() }
 
-func (fe *Frontend) acceptLoop() {
-	defer fe.wg.Done()
-	for {
-		c, err := fe.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		fe.connMu.Lock()
-		if fe.draining {
-			fe.connMu.Unlock()
-			c.Close()
-			continue
-		}
-		fe.conns[c] = struct{}{}
-		fe.wg.Add(1)
-		fe.connMu.Unlock()
-		go fe.serveConn(c)
-	}
-}
-
-func (fe *Frontend) serveConn(c net.Conn) {
-	defer fe.wg.Done()
-	defer func() {
-		fe.connMu.Lock()
-		delete(fe.conns, c)
-		fe.connMu.Unlock()
-		c.Close()
-	}()
-	fr := proto.NewFrameReader(c)
-	var wbuf []byte
-	for {
-		f, err := fr.Next()
-		if err != nil {
-			return // EOF, deadline or protocol error; nothing to answer on
-		}
-		resp := fe.handle(f)
-		wbuf, err = proto.AppendFrame(wbuf[:0], resp)
-		if err != nil {
-			return
-		}
-		if _, err := c.Write(wbuf); err != nil {
-			return
-		}
-	}
-}
-
-func (fe *Frontend) handle(f proto.Frame) proto.Frame {
-	start := time.Now()
-	rpc, resp, ok := fe.dispatch(f)
-	if ok {
-		// One clock read serves both the latency histogram and the RPC span —
-		// parented under the inbound trace context when the frame carried
-		// one, so a parent coordinator's delivery spans adopt this tier's
-		// handling the same way leaf spans adopt this coordinator's.
-		dur := time.Since(start)
-		fe.co.tel.Observe(rpc, dur)
-		fe.co.tracer.RecordLinked(obs.Link{Trace: f.TC.Trace, Parent: f.TC.Parent},
-			obs.SpanRPC, int(rpc), 0, start, dur)
-	}
-	return resp
-}
-
-// dispatch routes one request frame; ok reports whether the type maps to
-// an instrumented RPC code (TCluster and unknown types do not).
-func (fe *Frontend) dispatch(f proto.Frame) (rpc telemetry.RPC, resp proto.Frame, ok bool) {
+// Handle routes one request frame. TCluster and unknown types are not
+// instrumented RPCs.
+func (fe *Frontend) Handle(f proto.Frame) (wiresrv.Reply, telemetry.RPC) {
+	co := fe.co
 	switch f.Type {
 	case proto.TIngest:
-		return telemetry.RPCIngest, fe.handleIngest(f), true
+		return fe.handleIngest(f), telemetry.RPCIngest
 	case proto.TQuery:
 		req, err := proto.DecodeQueryReq(f.Payload)
 		if err != nil {
-			return telemetry.RPCQuery, errFrame(f.ID, err), true
+			return wiresrv.Error(err.Error()), telemetry.RPCQuery
 		}
-		res, err := fe.co.Query(int(req.Stmt))
+		res, err := co.Query(int(req.Stmt))
 		if err != nil {
-			return telemetry.RPCQuery, errFrame(f.ID, err), true
+			return wiresrv.Error(err.Error()), telemetry.RPCQuery
 		}
-		return telemetry.RPCQuery, proto.Frame{Type: proto.TResult, ID: f.ID, Payload: res.Encode()}, true
+		return wiresrv.Result(res.Encode()), telemetry.RPCQuery
 	case proto.TSnapshot:
 		req, err := proto.DecodeSnapshotReq(f.Payload)
 		if err != nil {
-			return telemetry.RPCSnapshot, errFrame(f.ID, err), true
+			return wiresrv.Error(err.Error()), telemetry.RPCSnapshot
 		}
-		res, err := fe.co.Snapshot(int(req.Stmt))
+		res, err := co.Snapshot(int(req.Stmt))
 		if err != nil {
-			return telemetry.RPCSnapshot, errFrame(f.ID, err), true
+			return wiresrv.Error(err.Error()), telemetry.RPCSnapshot
 		}
-		return telemetry.RPCSnapshot, proto.Frame{Type: proto.TResult, ID: f.ID, Payload: res.Encode()}, true
+		return wiresrv.Result(res.Encode()), telemetry.RPCSnapshot
 	case proto.TCluster:
-		return 0, proto.Frame{Type: proto.TResult, ID: f.ID, Payload: fe.co.Status().Encode()}, false
+		return wiresrv.Result(co.Status().Encode()), wiresrv.NoRPC
 	case proto.TBoot:
 		// The coordinator journals in memory, so its restart loses routing
 		// state the same way a leaf restart loses uncheckpointed tuples —
 		// stateful feeders fence against it just like against a leaf.
-		return telemetry.RPCBoot, proto.Frame{Type: proto.TResult, ID: f.ID, Payload: proto.Boot{Nonce: fe.co.boot}.Encode()}, true
+		return wiresrv.Result(proto.Boot{Nonce: co.boot}.Encode()), telemetry.RPCBoot
 	case proto.THealth:
 		// The coordinator holds no estimators of its own, and Ping rides
 		// this type — an empty report keeps liveness probes cheap instead of
 		// fanning out to N leaves per probe. The rolled-up fleet health lives
 		// on the admin endpoint and in FleetHealth.
-		return telemetry.RPCHealth, proto.Frame{Type: proto.TResult, ID: f.ID, Payload: obs.EncodeHealth(nil)}, true
+		return wiresrv.Result(obs.EncodeHealth(nil)), telemetry.RPCHealth
 	case proto.TStats:
-		return telemetry.RPCStats, proto.Frame{Type: proto.TResult, ID: f.ID, Payload: fe.co.tel.Snapshot().Encode()}, true
+		return wiresrv.Result(co.tel.Snapshot().Encode()), telemetry.RPCStats
 	case proto.TTrace:
 		// With tracing off this answers the empty single-node dump any
-		// pre-fleet client decodes; armed, it assembles the cross-node fleet
-		// trace (coordinator spans + every reachable leaf's ring, causally
-		// ordered and node-labeled).
-		if fe.co.tracer == nil {
-			return telemetry.RPCTrace, proto.Frame{Type: proto.TResult, ID: f.ID, Payload: obs.EncodeSpans(nil)}, true
+		// client decodes; armed, it assembles the cross-node fleet trace
+		// (coordinator spans + every reachable leaf's ring, causally ordered
+		// and node-labeled).
+		if co.tracer == nil {
+			return wiresrv.Result(obs.EncodeSpans(nil)), telemetry.RPCTrace
 		}
-		return telemetry.RPCTrace, proto.Frame{Type: proto.TResult, ID: f.ID, Payload: obs.EncodeFleetTrace(fe.co.FleetTrace())}, true
+		return wiresrv.Result(obs.EncodeFleetTrace(co.FleetTrace())), telemetry.RPCTrace
 	case proto.TUDPAck:
 		// No UDP lane at this tier; the zero watermark is the protocol's
 		// "lane disabled" answer.
 		if _, err := proto.DecodeUDPAckReq(f.Payload); err != nil {
-			return telemetry.RPCUDPAck, errFrame(f.ID, err), true
+			return wiresrv.Error(err.Error()), telemetry.RPCUDPAck
 		}
-		return telemetry.RPCUDPAck, proto.Frame{Type: proto.TResult, ID: f.ID, Payload: proto.UDPAck{}.Encode()}, true
+		return wiresrv.Result(proto.UDPAck{}.Encode()), telemetry.RPCUDPAck
 	}
-	return 0, errFrame(f.ID, fmt.Errorf("unsupported request type %s", f.Type)), false
+	return wiresrv.Error(fmt.Sprintf("unsupported request type %s", f.Type)), wiresrv.NoRPC
 }
 
-func (fe *Frontend) handleIngest(f proto.Frame) proto.Frame {
-	tuples, err := fe.decodeBatch(f.Payload)
+// handleIngest decodes one batch against the coordinator's schema and
+// routes it. No arena: the router buffers retain the tuples until they are
+// journaled, so every batch owns its decoded memory. The tuple bound is
+// the payload length — every tuple takes at least one byte — so the
+// front-end accepts any batch a frame can carry.
+func (fe *Frontend) handleIngest(f proto.Frame) wiresrv.Reply {
+	tuples, err := stream.DecodeBatch(f.Payload, fe.co.cfg.Schema, nil, len(f.Payload))
 	if err != nil {
-		return errFrame(f.ID, err)
+		return wiresrv.Error(err.Error())
 	}
 	if err := fe.co.Ingest(tuples); err != nil {
-		return errFrame(f.ID, err)
+		return wiresrv.Error(err.Error())
 	}
-	return proto.Frame{Type: proto.TOK, ID: f.ID, Payload: proto.IngestAck{Tuples: int64(len(tuples))}.Encode()}
-}
-
-// decodeBatch parses an ingest payload against the coordinator's schema.
-// The general BinaryReader path, not the leaf server's zero-alloc fast
-// path: the tuples are retained in the router buffers anyway, so they need
-// their own allocations.
-func (fe *Frontend) decodeBatch(payload []byte) ([]stream.Tuple, error) {
-	br, err := stream.NewBinaryReader(bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	got, want := br.Schema().Names(), fe.co.cfg.Schema.Names()
-	if len(got) != len(want) {
-		return nil, fmt.Errorf("batch schema has %d attributes, coordinator schema has %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			return nil, fmt.Errorf("batch schema attribute %d is %q, coordinator schema has %q", i, got[i], want[i])
-		}
-	}
-	var tuples []stream.Tuple
-	buf := make([]stream.Tuple, 256)
-	for {
-		n, err := br.NextBatch(buf)
-		for i := 0; i < n; i++ {
-			tuples = append(tuples, append(stream.Tuple(nil), buf[i]...))
-		}
-		if err == io.EOF {
-			return tuples, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-}
-
-func errFrame(id uint64, err error) proto.Frame {
-	return proto.Frame{Type: proto.TError, ID: id, Payload: proto.EncodeError(err.Error())}
+	return wiresrv.Ack(int64(len(tuples)))
 }
 
 // Close stops accepting, lets connection readers finish briefly, then cuts
 // them. The coordinator itself is left running — callers own its shutdown.
 func (fe *Frontend) Close() error {
-	fe.closeOnce.Do(func() {
-		fe.connMu.Lock()
-		fe.draining = true
-		deadline := time.Now().Add(frontDrainGrace)
-		for c := range fe.conns {
-			c.SetReadDeadline(deadline)
-		}
-		fe.connMu.Unlock()
-		fe.ln.Close()
-		fe.wg.Wait()
-	})
+	fe.wire.Close()
 	return nil
 }

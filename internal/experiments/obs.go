@@ -270,7 +270,7 @@ func runObsVariant(cfg ObsConfig, schema *stream.Schema, payloads [][]encBatch, 
 	scrapeDone := make(chan struct{})
 	stopScrape := make(chan struct{})
 	if observed {
-		admin, err = obs.ListenAdmin("127.0.0.1:0", srv)
+		admin, err = obs.ListenAdmin("127.0.0.1:0", obs.NewAdminMux(srv))
 		if err != nil {
 			return ObsRow{}, err
 		}
@@ -425,7 +425,7 @@ func runObsFleetVariant(cfg ObsConfig, schema *stream.Schema, payloads [][]encBa
 	scrapeDone := make(chan struct{})
 	stopScrape := make(chan struct{})
 	if observed {
-		admin, err = obs.ListenFleetAdmin("127.0.0.1:0", co)
+		admin, err = obs.ListenAdmin("127.0.0.1:0", obs.NewFleetAdminMux(co))
 		if err != nil {
 			fe.Close()
 			co.Close()

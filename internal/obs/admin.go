@@ -64,9 +64,8 @@ type jsonSpan struct {
 }
 
 // NewAdminMux returns the impserved admin handler: Prometheus-text
-// /metrics, a trivial /healthz, a JSON /trace span dump, and the pprof
-// suite under /debug/pprof/ (registered explicitly — the admin mux never
-// touches http.DefaultServeMux).
+// /metrics, a trivial /healthz, tenant lifecycle routes when st implements
+// TenantAdmin, and the shared /trace span dump and pprof suite.
 func NewAdminMux(st AdminState) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -112,11 +111,28 @@ func NewAdminMux(st AdminState) *http.ServeMux {
 			fmt.Fprintf(w, "dropped %s\n", name)
 		})
 	}
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
+	registerShared(mux, func() []FleetSpan {
 		spans := st.TraceSpans()
+		out := make([]FleetSpan, len(spans))
+		for i := range spans {
+			out[i].Span = spans[i]
+		}
+		return out
+	})
+	return mux
+}
+
+// registerShared registers the routes both admin muxes serve alike: the
+// JSON /trace dump of the spans trace returns (node labels only on fleet
+// traces), and the pprof suite under /debug/pprof/ (registered explicitly
+// — the admin muxes never touch http.DefaultServeMux).
+func registerShared(mux *http.ServeMux, trace func() []FleetSpan) {
+	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
+		spans := trace()
 		out := make([]jsonSpan, len(spans))
 		for i, s := range spans {
 			out[i] = jsonSpan{
+				Node:   s.Node,
 				Seq:    s.Seq,
 				Kind:   s.Kind.String(),
 				Arg:    s.Arg,
@@ -138,7 +154,6 @@ func NewAdminMux(st AdminState) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
 }
 
 // AdminServer is a running admin endpoint; Close stops it.
@@ -148,16 +163,17 @@ type AdminServer struct {
 	ln   net.Listener
 }
 
-// ListenAdmin binds addr and serves the admin mux for st in a background
-// goroutine. The admin endpoint is unauthenticated (and, when st
-// implements TenantAdmin, carries tenant lifecycle routes) — bind it to
-// loopback or an operations network, never the ingest address.
-func ListenAdmin(addr string, st AdminState) (*AdminServer, error) {
+// ListenAdmin binds addr and serves an admin mux — a leaf's NewAdminMux or
+// a coordinator's NewFleetAdminMux — in a background goroutine. Admin
+// endpoints are unauthenticated (and a leaf's carries tenant lifecycle
+// routes) — bind them to loopback or an operations network, never the
+// ingest address.
+func ListenAdmin(addr string, mux http.Handler) (*AdminServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: NewAdminMux(st), ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go func() { _ = srv.Serve(ln) }()
 	return &AdminServer{Addr: ln.Addr().String(), srv: srv, ln: ln}, nil
 }

@@ -8,18 +8,17 @@ import (
 )
 
 // The Health and Trace RPC payload encodings. Like the telemetry snapshot
-// (and unlike ingest batches), they have versioned magics of their own: the
-// frame layer authenticates bytes, the payload codec proves structure.
-// Spans have two versions: v1 is the pre-fleet 37-byte record, v2 appends
-// the causal identity (trace id, parent span id, own span id). The encoder
-// emits v1 whenever no span carries identity — a single node that never
-// saw a traced frame keeps producing byte-identical dumps, so old readers
-// keep working — and v2 only when the extra fields carry information.
+// (and unlike ingest batches), they have magics of their own: the frame
+// layer authenticates bytes, the payload codec proves structure. A span
+// record is 61 bytes, the causal identity (trace id, parent span id, own
+// span id) always present — zero on spans recorded outside any trace.
 const (
-	spansMagic   = "IMPS\x01"
-	spansMagicV2 = "IMPS\x02"
-	healthMagic  = "IMPH\x01"
+	spansMagic  = "IMPS\x03"
+	healthMagic = "IMPH\x01"
 )
+
+// spanRecordSize is the encoded size of one span record.
+const spanRecordSize = 61
 
 // maxDumpSpans bounds a decoded span dump; a frame claiming more is corrupt
 // (no tracer ships rings anywhere near this deep).
@@ -29,72 +28,53 @@ const maxDumpSpans = 1 << 20
 // statement, so anything huge is corruption, not scale.
 const maxHealthReports = 1 << 16
 
-// EncodeSpans serializes a span dump for the Trace RPC: v1 when no span
-// carries causal identity, v2 otherwise.
+// EncodeSpans serializes a span dump for the Trace RPC.
 func EncodeSpans(spans []Span) []byte {
-	linked := false
-	for i := range spans {
-		if spans[i].Trace != 0 || spans[i].Parent != 0 || spans[i].ID != 0 {
-			linked = true
-			break
-		}
-	}
-	e := wire.NewEncoder(16 + len(spans)*61)
-	if linked {
-		e.Raw([]byte(spansMagicV2))
-	} else {
-		e.Raw([]byte(spansMagic))
-	}
+	e := wire.NewEncoder(16 + len(spans)*spanRecordSize)
+	e.Raw([]byte(spansMagic))
 	e.U32(uint32(len(spans)))
 	for i := range spans {
-		s := &spans[i]
-		e.U64(s.Seq)
-		e.U8(uint8(s.Kind))
-		e.U32(uint32(s.Arg))
-		e.I64(s.Start)
-		e.I64(s.Dur)
-		e.I64(s.Units)
-		if linked {
-			e.U64(s.Trace)
-			e.U64(s.Parent)
-			e.U64(s.ID)
-		}
+		encodeSpan(e, &spans[i])
 	}
 	return e.Bytes()
 }
 
-// decodeSpanInto reads one span record (v1: 37 bytes; v2: +24 bytes of
-// causal identity), validating the kind.
-func decodeSpanInto(d *wire.Decoder, s *Span, linked bool) {
+// encodeSpan writes one span record — the single-node dump's record and
+// the body of a fleet trace's.
+func encodeSpan(e *wire.Encoder, s *Span) {
+	e.U64(s.Seq)
+	e.U8(uint8(s.Kind))
+	e.U32(uint32(s.Arg))
+	e.I64(s.Start)
+	e.I64(s.Dur)
+	e.I64(s.Units)
+	e.U64(s.Trace)
+	e.U64(s.Parent)
+	e.U64(s.ID)
+}
+
+// decodeSpanInto reads one span record, validating the kind.
+func decodeSpanInto(d *wire.Decoder, s *Span) {
 	s.Seq = d.U64()
 	s.Kind = SpanKind(d.U8())
 	s.Arg = int32(d.U32())
 	s.Start = d.I64()
 	s.Dur = d.I64()
 	s.Units = d.I64()
-	if linked {
-		s.Trace = d.U64()
-		s.Parent = d.U64()
-		s.ID = d.U64()
-	}
+	s.Trace = d.U64()
+	s.Parent = d.U64()
+	s.ID = d.U64()
 	if s.Kind >= numSpanKinds {
 		d.Failf("unknown span kind %d", s.Kind)
 	}
 }
 
-// DecodeSpans parses a span dump (either version), rejecting structurally
-// implausible input.
+// DecodeSpans parses a span dump, rejecting structurally implausible
+// input.
 func DecodeSpans(data []byte) ([]Span, error) {
 	d := wire.NewDecoder(data)
-	linked := len(data) >= len(spansMagicV2) && string(data[:len(spansMagicV2)]) == spansMagicV2
-	size := 37
-	if linked {
-		d.Magic(spansMagicV2)
-		size = 61
-	} else {
-		d.Magic(spansMagic)
-	}
-	n := d.Count(size)
+	d.Magic(spansMagic)
+	n := d.Count(spanRecordSize)
 	if d.Err() == nil && n > maxDumpSpans {
 		return nil, fmt.Errorf("%w: span dump claims %d spans", wire.ErrCorrupt, n)
 	}
@@ -102,7 +82,7 @@ func DecodeSpans(data []byte) ([]Span, error) {
 	if d.Err() == nil && n > 0 {
 		spans = make([]Span, n)
 		for i := 0; i < n; i++ {
-			decodeSpanInto(d, &spans[i], linked)
+			decodeSpanInto(d, &spans[i])
 		}
 	}
 	if err := d.Done(); err != nil {

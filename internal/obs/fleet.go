@@ -33,17 +33,8 @@ func EncodeFleetTrace(spans []FleetSpan) []byte {
 	e.Raw([]byte(fleetMagic))
 	e.U32(uint32(len(spans)))
 	for i := range spans {
-		s := &spans[i]
-		e.Str(s.Node)
-		e.U64(s.Seq)
-		e.U8(uint8(s.Kind))
-		e.U32(uint32(s.Arg))
-		e.I64(s.Start)
-		e.I64(s.Dur)
-		e.I64(s.Units)
-		e.U64(s.Trace)
-		e.U64(s.Parent)
-		e.U64(s.ID)
+		e.Str(spans[i].Node)
+		encodeSpan(e, &spans[i].Span)
 	}
 	return e.Bytes()
 }
@@ -53,7 +44,7 @@ func EncodeFleetTrace(spans []FleetSpan) []byte {
 func DecodeFleetTrace(data []byte) ([]FleetSpan, error) {
 	d := wire.NewDecoder(data)
 	d.Magic(fleetMagic)
-	n := d.Count(65) // min record: 4-byte name prefix + 61-byte span
+	n := d.Count(4 + spanRecordSize) // min record: 4-byte name prefix + span
 	if d.Err() == nil && n > maxDumpSpans {
 		return nil, fmt.Errorf("%w: fleet trace claims %d spans", wire.ErrCorrupt, n)
 	}
@@ -61,20 +52,8 @@ func DecodeFleetTrace(data []byte) ([]FleetSpan, error) {
 	if d.Err() == nil && n > 0 {
 		spans = make([]FleetSpan, n)
 		for i := 0; i < n; i++ {
-			s := &spans[i]
-			s.Node = d.Str(maxNodeNameLen)
-			s.Seq = d.U64()
-			s.Kind = SpanKind(d.U8())
-			s.Arg = int32(d.U32())
-			s.Start = d.I64()
-			s.Dur = d.I64()
-			s.Units = d.I64()
-			s.Trace = d.U64()
-			s.Parent = d.U64()
-			s.ID = d.U64()
-			if s.Kind >= numSpanKinds {
-				d.Failf("unknown span kind %d", s.Kind)
-			}
+			spans[i].Node = d.Str(maxNodeNameLen)
+			decodeSpanInto(d, &spans[i].Span)
 		}
 	}
 	if err := d.Done(); err != nil {

@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -190,45 +192,43 @@ func TestWriteFleetMetricsEscapesLabels(t *testing.T) {
 	}
 }
 
-// TestFleetRollupFromOldLeafSnapshot is the cross-version roll-up pin: a
-// leaf still running a pre-fleet build answers Stats with its older
-// snapshot encoding, and the coordinator's roll-up must decode it and
-// render its counters — not refuse the leaf or misattribute fields.
-func TestFleetRollupFromOldLeafSnapshot(t *testing.T) {
-	// A quiet default-config Set encodes exactly what a PR 7–9 leaf sent
-	// (the v3 layout — the newer magics only appear when post-v3 features
-	// are armed); DecodeSnapshot is the coordinator's client-side path.
-	var old telemetry.Set
-	old.AddTuples(1234)
-	old.AddBatch()
-	old.Observe(telemetry.RPCIngest, 3*time.Millisecond)
-	sn, err := telemetry.DecodeSnapshot(old.Snapshot().Encode())
+// TestFleetAdminServesSharedRoutes drives a fleet mux through ListenAdmin —
+// the one admin listener both binaries use — and checks the routes it
+// shares with the leaf mux: the JSON /trace dump (node labels included)
+// and the pprof suite.
+func TestFleetAdminServesSharedRoutes(t *testing.T) {
+	st := &fakeFleetState{trace: []FleetSpan{
+		{Node: "coord", Span: Span{Seq: 1, Kind: SpanDeliver, Start: 100, Trace: 7, ID: 8}},
+		{Node: "leaf0", Span: Span{Seq: 2, Kind: SpanRPC, Start: 110, Trace: 7, Parent: 8}},
+	}}
+	admin, err := ListenAdmin("127.0.0.1:0", NewFleetAdminMux(st))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := &fakeFleetState{
-		tel:   []LeafTelemetry{{Name: "old-leaf", State: "up"}},
-		stats: []LeafStatsRow{{Name: "old-leaf", Stats: sn}},
-	}
-	var b strings.Builder
-	if err := WriteFleetMetrics(&b, st); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		`imps_leaf_tuples_ingested_total{leaf="old-leaf"} 1234`,
-		`imps_leaf_batches_total{leaf="old-leaf"} 1`,
-		`imps_leaf_ingest_latency_seconds{leaf="old-leaf",quantile="0.5"}`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("roll-up of an old leaf snapshot missing %q\n%s", want, out)
+	defer admin.Close()
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get("http://" + admin.Addr + path)
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
 	}
-
-	// The merged /fleet row carries the decoded counters too.
-	doc := BuildFleetJSON(st)
-	if len(doc.Leaves) != 1 || doc.Leaves[0].TuplesIngested != 1234 {
-		t.Fatalf("fleet doc %+v", doc)
+	code, body := get("/trace")
+	var spans []jsonSpan
+	if code != 200 || json.Unmarshal([]byte(body), &spans) != nil {
+		t.Fatalf("/trace: %d %q", code, body)
+	}
+	if len(spans) != 2 || spans[0].Node != "coord" || spans[1].Node != "leaf0" || spans[1].Parent != 8 || spans[0].Kind != "deliver" {
+		t.Errorf("/trace spans %+v", spans)
+	}
+	if code, body := get("/debug/pprof/cmdline"); code != 200 || body == "" {
+		t.Errorf("/debug/pprof/cmdline: %d", code)
 	}
 }
 

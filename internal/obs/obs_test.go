@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"math"
@@ -148,6 +149,28 @@ func TestSpanCodecRoundTrip(t *testing.T) {
 	bad[len(spansMagic)+4+8] = 0xFF // first span's kind byte
 	if _, err := DecodeSpans(bad); err == nil {
 		t.Error("unknown span kind accepted")
+	}
+}
+
+// TestSpanGoldenBytes pins the one span-dump layout byte for byte: magic,
+// a u32 count, then per span seq, kind, arg, start, dur, units, trace,
+// parent and id, all little-endian. A fleet trace record is a u32-prefixed
+// node name followed by this same span record.
+func TestSpanGoldenBytes(t *testing.T) {
+	sp := Span{Seq: 1, Kind: SpanRPC, Arg: -2, Start: 3, Dur: 4, Units: 5, Trace: 6, Parent: 7, ID: 8}
+	rec := "0100000000000000" + "05" + "feffffff" + // seq, kind (SpanRPC), arg
+		"0300000000000000" + "0400000000000000" + "0500000000000000" +
+		"0600000000000000" + "0700000000000000" + "0800000000000000"
+	if got, want := hex.EncodeToString(EncodeSpans([]Span{sp})), "494d505303"+"01000000"+rec; got != want {
+		t.Fatalf("span dump encoding drifted:\n got %s\nwant %s", got, want)
+	}
+	fleet := EncodeFleetTrace([]FleetSpan{{Node: "n", Span: sp}})
+	if got, want := hex.EncodeToString(fleet), "494d504601"+"01000000"+"01000000"+"6e"+rec; got != want {
+		t.Fatalf("fleet trace encoding drifted:\n got %s\nwant %s", got, want)
+	}
+	got, err := DecodeSpans(EncodeSpans([]Span{sp}))
+	if err != nil || len(got) != 1 || got[0] != sp {
+		t.Fatalf("golden span round trip: %+v, %v", got, err)
 	}
 }
 

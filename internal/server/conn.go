@@ -1,18 +1,12 @@
-// The per-connection fast wire path (DESIGN.md §12). Each TCP connection
-// runs two goroutines: a reader that decodes frames with a reusable
-// FrameReader, decodes and plans ingest batches in place, and enqueues
-// them; and a writer that drains a bounded reply channel, coalesces
-// pending replies into one scratch buffer, and flushes them with a single
-// vectored write. Steady-state ingest therefore costs zero allocations
-// per frame on both directions of the wire, and acknowledgements for
-// pipelined batches share syscalls instead of paying one each.
+// The leaf's per-connection handler on the shared wire skeleton
+// (internal/wiresrv, DESIGN.md §12): tenant pinning, the reader-side
+// ingest fast path, and the control-plane RPCs. The skeleton owns the
+// framing, the coalescing reply writer, the latency histogram and the RPC
+// span.
 package server
 
 import (
-	"bytes"
 	"fmt"
-	"io"
-	"net"
 	"time"
 
 	"implicate/internal/obs"
@@ -21,124 +15,106 @@ import (
 	"implicate/internal/stream"
 	"implicate/internal/telemetry"
 	"implicate/internal/tenant"
+	"implicate/internal/wiresrv"
 )
 
-const (
-	// replyQueueDepth bounds the per-connection reply channel. A full
-	// channel blocks the reader — backpressure, not loss; the writer is
-	// strictly faster than the reader in steady state so depth beyond the
-	// pipelining window is never used.
-	replyQueueDepth = 256
-	// maxFlushReplies caps how many replies one vectored write coalesces,
-	// bounding scratch growth and per-flush latency.
-	maxFlushReplies = 64
-	// inlineReplyLimit is the payload size above which a reply is vectored
-	// (header in scratch, payload as its own iovec) instead of copied into
-	// scratch. Acks and busy replies are far below it; stats, health and
-	// trace dumps are above.
-	inlineReplyLimit = 4096
-)
-
-// replyKind selects the writer-side encoding of one reply.
-type replyKind uint8
-
-const (
-	// replyAck is an ingest acknowledgement: TOK carrying IngestAck{n},
-	// encoded allocation-free into the connection scratch.
-	replyAck replyKind = iota
-	// replyBusy is a backpressure reply: TBusy carrying the server's
-	// RetryAfter hint, also encoded allocation-free.
-	replyBusy
-	// replyGeneric carries a pre-encoded payload from a control-plane
-	// handler (query results, stats, errors, merge acks).
-	replyGeneric
-)
-
-// reply is one queued response. Ack and busy replies carry scalars, not
-// payload bytes — the writer encodes them into its scratch, which is the
-// bugfix for the fresh-frame-per-ack allocation the old path made.
-type reply struct {
-	kind    replyKind
-	id      uint64
-	n       int64 // replyAck: acknowledged tuple count
-	t       proto.Type
-	payload []byte // replyGeneric only; owned by the writer once enqueued
-}
-
-// connState is the per-connection session: which tenant requests resolve
-// against, and whether a TAuth frame has pinned it. Only the reader
-// goroutine touches it, so it needs no lock. Every connection starts on
-// the implicit default tenant — a client that never authenticates sees
+// conn is one connection's session: which tenant requests resolve
+// against, and whether a TAuth frame has pinned it. Only the connection's
+// reader goroutine calls it, so it needs no lock. Every connection starts
+// on the implicit default tenant — a client that never authenticates sees
 // exactly the single-tenant server.
-type connState struct {
+type conn struct {
+	s      *Server
 	tenant *tenant.Tenant
 	authed bool
 }
 
-func (s *Server) serveConn(c net.Conn) {
-	defer s.connWG.Done()
-	defer s.dropConn(c)
-	replies := make(chan reply, replyQueueDepth)
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		s.connWriter(c, replies)
-	}()
-	cs := &connState{tenant: s.def}
-	fr := proto.NewFrameReader(c)
-	for {
-		f, err := fr.Next()
-		if err != nil {
-			if err != io.EOF && !s.draining.Load() {
-				s.cfg.Logf("server: dropping %s: %v", c.RemoteAddr(), err)
-			}
-			break
-		}
-		// f.Payload aliases the FrameReader's buffer: every handler below
-		// finishes with it (or copies out of it) before the next Next call.
-		if f.Type == proto.TIngest {
-			s.handleIngestFast(f, cs, replies)
-			continue
-		}
-		resp := s.handle(f, cs)
-		replies <- reply{kind: replyGeneric, id: resp.ID, t: resp.Type, payload: resp.Payload}
+// Handle dispatches one request frame against the connection's pinned
+// tenant.
+func (c *conn) Handle(f proto.Frame) (wiresrv.Reply, telemetry.RPC) {
+	s, t := c.s, c.tenant
+	switch f.Type {
+	case proto.TIngest:
+		return s.handleIngest(f, t), telemetry.RPCIngest
+	case proto.TQuery:
+		return s.handleQuery(f, t), telemetry.RPCQuery
+	case proto.TMerge:
+		return s.handleMerge(f, t), telemetry.RPCMerge
+	case proto.TStats:
+		return wiresrv.Result(s.snapshot().Encode()), telemetry.RPCStats
+	case proto.THealth:
+		return s.handleHealth(t), telemetry.RPCHealth
+	case proto.TTrace:
+		// No lock: the tracer is its own synchronization, and a disabled
+		// tracer encodes as an empty dump rather than an error so pollers
+		// need not know the server's configuration.
+		return wiresrv.Result(obs.EncodeSpans(s.tracer.Snapshot())), telemetry.RPCTrace
+	case proto.TUDPAck:
+		return s.handleUDPAck(f), telemetry.RPCUDPAck
+	case proto.TSnapshot:
+		return s.handleSnapshot(f, t), telemetry.RPCSnapshot
+	case proto.TBoot:
+		return wiresrv.Result(proto.Boot{Nonce: s.boot}.Encode()), telemetry.RPCBoot
+	case proto.TAuth:
+		return c.auth(f), telemetry.RPCAuth
 	}
-	close(replies)
-	<-writerDone
+	return wiresrv.Error(fmt.Sprintf("unsupported request type %s", f.Type)), wiresrv.NoRPC
 }
 
-// handleIngestFast is the reader-side ingest path: lease a recycled batch
-// from the tenant's pool, decode straight from the frame buffer into its
-// arena, plan on this goroutine, enqueue, and hand the reply to the
-// writer. In steady state the only per-frame allocation left is the
-// batch's record string (which the decoded keys alias); every other buffer
-// — tuples, partition buckets, tasks — is the leased batch's warm memory,
-// returned to the pool when the batch's last statement applies.
-func (s *Server) handleIngestFast(f proto.Frame, cs *connState, out chan<- reply) {
-	start := time.Now()
-	// The inbound trace context (zero on untraced frames) parents every
-	// span this batch produces — plan, dispatch, apply, and the RPC span —
-	// so a coordinator's delivery span adopts the whole leaf-side story.
-	link := obs.Link{Trace: f.TC.Trace, Parent: f.TC.Parent}
-	var r reply
-	b := cs.tenant.Pool.NewBatch()
-	tuples, err := s.decodeBatch(b.Arena(), f.Payload)
+// auth pins the connection to a tenant. A session authenticates at most
+// once — re-pinning mid-stream would let one connection's pipelined
+// batches straddle two engines, so a second TAuth is an error. The default
+// tenant may be named explicitly (token still verified when a key is set);
+// connections that never send TAuth serve it implicitly, which is the
+// whole backward-compatibility story.
+func (c *conn) auth(f proto.Frame) wiresrv.Reply {
+	req, err := proto.DecodeAuthReq(f.Payload)
+	if err != nil {
+		return wiresrv.Error(err.Error())
+	}
+	if c.authed {
+		return wiresrv.Error("auth: session already pinned to a tenant")
+	}
+	s := c.s
+	var t *tenant.Tenant
+	if req.Tenant == tenant.DefaultName {
+		if !tenant.VerifyToken(s.cfg.TokenKey, req.Tenant, req.Token) {
+			return wiresrv.Error(fmt.Sprintf("tenant %q: unknown tenant or bad token", req.Tenant))
+		}
+		t = s.def
+	} else {
+		t, err = s.reg.Authenticate(req.Tenant, req.Token)
+		if err != nil {
+			return wiresrv.Error(err.Error())
+		}
+	}
+	c.tenant = t
+	c.authed = true
+	return wiresrv.Frame(proto.TOK, nil)
+}
+
+// handleIngest is the reader-side ingest path: lease a recycled batch from
+// the tenant's pool, decode straight from the frame buffer into its arena,
+// plan on this goroutine, enqueue, and acknowledge. In steady state the
+// only per-frame allocation left is the batch's record string (which the
+// decoded keys alias); every other buffer — tuples, partition buckets,
+// tasks — is the leased batch's warm memory, returned to the pool when the
+// batch's last statement applies.
+func (s *Server) handleIngest(f proto.Frame, t *tenant.Tenant) wiresrv.Reply {
+	b := t.Pool.NewBatch()
+	tuples, err := stream.DecodeBatch(f.Payload, s.cfg.Schema, b.Arena(), s.cfg.MaxBatchTuples)
 	switch {
 	case err != nil:
 		b.Release()
-		r = reply{kind: replyGeneric, id: f.ID, t: proto.TError, payload: proto.EncodeError(fmt.Sprintf("ingest: %v", err))}
-	case s.draining.Load():
+		return wiresrv.Error(fmt.Sprintf("ingest: %v", err))
+	case s.wire.Draining():
 		b.Release()
-		r = reply{kind: replyGeneric, id: f.ID, t: proto.TError, payload: proto.EncodeError("ingest: server is shutting down")}
-	default:
-		r = s.admitIngest(cs.tenant, f.ID, b, tuples, link, start)
+		return wiresrv.Error("ingest: server is shutting down")
 	}
-	// One clock read serves both the latency histogram and the RPC span,
-	// mirroring the control-plane handler.
-	dur := time.Since(start)
-	s.tel.Observe(telemetry.RPCIngest, dur)
-	s.tracer.RecordLinked(link, obs.SpanRPC, int(telemetry.RPCIngest), 0, start, dur)
-	out <- r
+	// The inbound trace context (zero on untraced frames) parents every
+	// span this batch produces — plan, dispatch, apply, and the RPC span —
+	// so a coordinator's delivery span adopts the whole leaf-side story.
+	return s.admitIngest(t, b, tuples, obs.Link{Trace: f.TC.Trace, Parent: f.TC.Parent})
 }
 
 // admitIngest runs the tenant admission sequence for one decoded batch:
@@ -148,12 +124,11 @@ func (s *Server) handleIngestFast(f proto.Frame, cs *connState, out chan<- reply
 // Every refusal path releases the leased batch; a successful enqueue
 // transfers ownership to the dispatcher, so nothing here touches b after
 // the lane accepts it.
-func (s *Server) admitIngest(t *tenant.Tenant, id uint64, b *pipeline.Batch, tuples []stream.Tuple, link obs.Link, now time.Time) reply {
+func (s *Server) admitIngest(t *tenant.Tenant, b *pipeline.Batch, tuples []stream.Tuple, link obs.Link) wiresrv.Reply {
 	n := int64(len(tuples))
-	if q := t.Admit(len(tuples), now); q != nil {
+	if q := t.Admit(len(tuples), time.Now()); q != nil {
 		b.Release()
-		payload := proto.Quota{Msg: q.Msg, RetryAfter: q.RetryAfter}.Encode()
-		return reply{kind: replyGeneric, id: id, t: proto.TQuota, payload: payload}
+		return wiresrv.Frame(proto.TQuota, proto.Quota{Msg: q.Msg, RetryAfter: q.RetryAfter}.Encode())
 	}
 	s.planInto(t, b, tuples, link)
 	var depth int
@@ -167,34 +142,21 @@ func (s *Server) admitIngest(t *tenant.Tenant, id uint64, b *pipeline.Batch, tup
 		depth, ok = t.Lane.Enqueue(b)
 		if !ok {
 			b.Release()
-			return reply{kind: replyGeneric, id: id, t: proto.TError, payload: proto.EncodeError("ingest: tenant dropped or server shutting down")}
+			return wiresrv.Error("ingest: tenant dropped or server shutting down")
 		}
 	} else if depth, ok = t.Lane.TryEnqueue(b); !ok {
 		b.Release()
 		if t.Lane.Closed() {
-			return reply{kind: replyGeneric, id: id, t: proto.TError, payload: proto.EncodeError("ingest: tenant dropped or server shutting down")}
+			return wiresrv.Error("ingest: tenant dropped or server shutting down")
 		}
 		t.AddRejected()
 		s.tel.AddRejectedBatch()
-		return reply{kind: replyBusy, id: id}
+		return wiresrv.Busy(s.cfg.RetryAfter)
 	}
 	t.AddBatch()
 	s.tel.AddBatch()
 	s.tel.ObserveQueueDepth(depth)
-	return reply{kind: replyAck, id: id, n: n}
-}
-
-// decodeBatch parses an ingest payload — a complete binary stream (header
-// included) — validating the schema and the batch size. The fast path
-// compares the header bytes against the server schema's canonical encoding
-// and decodes the records into the leased batch's arena (one allocation
-// per batch, the record string); anything else takes the slow path, whose
-// job is the precise error message.
-func (s *Server) decodeBatch(ar *stream.RecordArena, payload []byte) ([]stream.Tuple, error) {
-	if bytes.HasPrefix(payload, s.hdr) {
-		return ar.DecodeBinaryRecords(payload[len(s.hdr):], s.arity, s.cfg.MaxBatchTuples)
-	}
-	return s.decodeBatchSlow(payload)
+	return wiresrv.Ack(n)
 }
 
 // planInto runs the pure planning stage — filters, projections, partition
@@ -230,95 +192,4 @@ func (s *Server) enqueueWait(t *tenant.Tenant, b *pipeline.Batch) bool {
 	s.tel.AddBatch()
 	s.tel.ObserveQueueDepth(depth)
 	return true
-}
-
-// connWriter drains the reply channel, coalescing every reply available
-// (up to maxFlushReplies) into one vectored write. Small replies are
-// encoded back to back in a reusable scratch buffer; large payloads join
-// the iovec uncopied. It exits when the channel closes; on a write error
-// it closes the connection to unblock the reader and keeps draining so the
-// reader never wedges on a full channel.
-func (s *Server) connWriter(nc net.Conn, replies <-chan reply) {
-	var (
-		scratch []byte
-		bufs    net.Buffers
-		dead    bool
-	)
-	flush := func(seg int) {
-		if len(scratch) > seg {
-			bufs = append(bufs, scratch[seg:])
-		}
-		if len(bufs) == 0 {
-			return
-		}
-		// WriteTo consumes its receiver, so hand it a copy of the slice
-		// header; bufs keeps its backing array for the next round.
-		v := bufs
-		if _, err := v.WriteTo(nc); err != nil {
-			dead = true
-			nc.Close()
-			if !s.draining.Load() {
-				s.cfg.Logf("server: write to %s: %v", nc.RemoteAddr(), err)
-			}
-		}
-	}
-	for {
-		r, ok := <-replies
-		if !ok {
-			return
-		}
-		if dead {
-			continue
-		}
-		scratch, bufs = scratch[:0], bufs[:0]
-		seg := 0 // start of the scratch segment not yet pushed to bufs
-		scratch, seg = s.appendReply(scratch, &bufs, seg, r)
-		for n := 1; n < maxFlushReplies; n++ {
-			select {
-			case r, ok = <-replies:
-				if !ok {
-					flush(seg)
-					return
-				}
-				scratch, seg = s.appendReply(scratch, &bufs, seg, r)
-			default:
-				n = maxFlushReplies
-			}
-		}
-		flush(seg)
-	}
-}
-
-// appendReply encodes one reply: small ones into scratch, large payloads
-// as their own iovec behind their header. Appending to scratch may move
-// its backing array; segments already pushed to bufs stay valid — they
-// reference the abandoned array, whose bytes are never modified again.
-func (s *Server) appendReply(scratch []byte, bufs *net.Buffers, seg int, r reply) ([]byte, int) {
-	switch r.kind {
-	case replyAck:
-		scratch, _ = proto.AppendFrameFunc(scratch, proto.TOK, r.id, func(d []byte) []byte {
-			return proto.IngestAck{Tuples: r.n}.AppendTo(d)
-		})
-	case replyBusy:
-		scratch, _ = proto.AppendFrameFunc(scratch, proto.TBusy, r.id, func(d []byte) []byte {
-			return proto.Busy{RetryAfter: s.cfg.RetryAfter}.AppendTo(d)
-		})
-	default:
-		if len(r.payload) >= inlineReplyLimit {
-			ext, err := proto.AppendFrameHeader(scratch, r.t, r.id, r.payload)
-			if err != nil {
-				// A handler produced a payload no frame can carry; tell the
-				// client that much instead of wedging the connection.
-				ext, _ = proto.AppendFrame(scratch, errorFrame(r.id, "reply exceeds the frame size limit"))
-				return ext, seg
-			}
-			scratch = ext
-			*bufs = append(*bufs, scratch[seg:], r.payload)
-			return scratch, len(scratch)
-		}
-		// Payloads under inlineReplyLimit are far below MaxFrame; the
-		// error path is unreachable.
-		scratch, _ = proto.AppendFrame(scratch, proto.Frame{Type: r.t, ID: r.id, Payload: r.payload})
-	}
-	return scratch, seg
 }

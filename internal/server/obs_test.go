@@ -121,7 +121,7 @@ func TestServerAdminEndpoint(t *testing.T) {
 		TraceSpans: 64,
 	})
 	cl := dialClient(t, srv, schema, client.Options{})
-	admin, err := obs.ListenAdmin("127.0.0.1:0", srv)
+	admin, err := obs.ListenAdmin("127.0.0.1:0", obs.NewAdminMux(srv))
 	if err != nil {
 		t.Fatal(err)
 	}

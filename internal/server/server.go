@@ -3,18 +3,19 @@
 // producers and answers implication queries, sketch merges and telemetry
 // reads.
 //
-// Architecture: one accept loop, one reader and one writer goroutine per
-// connection, one fair-share dispatcher, and a pipeline worker pool per
-// tenant (internal/pipeline). Connection readers decode AND plan ingest
-// batches — filters, projections and partition hashing run concurrently
-// per connection — and hand the planned batches to their tenant's bounded
-// lane; the dispatcher drains the lanes deficit-round-robin and feeds each
-// tenant's pool in lane-arrival order, which is all the ordering the
-// engine's estimators need for bit-identical-to-serial results (DESIGN.md
-// §10). Replies flow through the per-connection writer, which coalesces
-// pending acks into vectored writes (conn.go). When a lane is full the
-// batch is refused with an explicit backpressure reply (proto.TBusy) and
-// NOT enqueued — the client retries. (Pipelined producers that need strict
+// Architecture: the shared wire skeleton (internal/wiresrv: one accept
+// loop, one reader and one writer goroutine per connection) running a
+// per-connection handler (conn.go), one fair-share dispatcher, and a
+// pipeline worker pool per tenant (internal/pipeline). Connection readers
+// decode AND plan ingest batches — filters, projections and partition
+// hashing run concurrently per connection — and hand the planned batches
+// to their tenant's bounded lane; the dispatcher drains the lanes
+// deficit-round-robin and feeds each tenant's pool in lane-arrival order,
+// which is all the ordering the engine's estimators need for
+// bit-identical-to-serial results (DESIGN.md §10). Replies flow through the
+// per-connection writer, which coalesces pending acks into vectored
+// writes. When a lane is full the batch is refused with an explicit
+// backpressure reply (proto.TBusy) and NOT enqueued — the client retries. (Pipelined producers that need strict
 // per-connection ordering set Config.BlockOnFull instead: the reader then
 // blocks for lane room, so no batch is ever refused and re-sent out of
 // order.) An acknowledged batch is never dropped: graceful shutdown drains
@@ -52,10 +53,7 @@
 package server
 
 import (
-	"bytes"
 	"fmt"
-	"io"
-	"net"
 	"runtime"
 	"sort"
 	"sync"
@@ -71,11 +69,8 @@ import (
 	"implicate/internal/stream"
 	"implicate/internal/telemetry"
 	"implicate/internal/tenant"
+	"implicate/internal/wiresrv"
 )
-
-// drainGrace is how long connection readers may keep serving requests after
-// Close is called before their reads are unblocked.
-const drainGrace = 200 * time.Millisecond
 
 // Config configures a server. Schema and Engine are required; the engine's
 // statements must be registered before Listen, and the engine must not be
@@ -197,16 +192,10 @@ func (c Config) withDefaults() Config {
 // Server is a running ingest/query server. Create with Listen.
 type Server struct {
 	cfg    Config
-	ln     net.Listener
+	wire   *wiresrv.Server // the TCP listener and its connections
 	tel    *telemetry.Set
 	tracer *obs.Tracer // nil when tracing is disabled; nil-safe to record on
 	udp    *udpLane    // nil when Config.UDPAddr is empty
-
-	// hdr is the canonical binary-stream header for cfg.Schema; an ingest
-	// payload with this exact prefix has a verified schema (fast path in
-	// decodeBatch). arity caches cfg.Schema.Len().
-	hdr   []byte
-	arity int
 
 	// boot is this incarnation's nonce, drawn once at Listen and served
 	// through the Boot RPC so stateful feeders can fence their sends against
@@ -231,12 +220,6 @@ type Server struct {
 	// tenant keeps the single-tenant span arg (-1).
 	laneSeq atomic.Int64
 
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
-	connWG sync.WaitGroup
-
-	draining  atomic.Bool
-	killed    atomic.Bool
 	closeOnce sync.Once
 	closeErr  error
 }
@@ -284,12 +267,9 @@ func Listen(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: udp window %d must be >= 1", cfg.UDPWindow)
 	}
 	s := &Server{
-		cfg:   cfg,
-		tel:   &telemetry.Set{},
-		reg:   tenant.NewRegistry(cfg.TokenKey),
-		conns: make(map[net.Conn]struct{}),
-		hdr:   stream.BinaryHeader(cfg.Schema),
-		arity: cfg.Schema.Len(),
+		cfg: cfg,
+		tel: &telemetry.Set{},
+		reg: tenant.NewRegistry(cfg.TokenKey),
 	}
 	s.tel.ConfigureWorkers(cfg.Workers)
 	nonce, err := proto.NewBootNonce()
@@ -315,22 +295,27 @@ func Listen(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: %w", err)
 		}
 	}
-	ln, err := net.Listen("tcp", cfg.Addr)
+	s.wire, err = wiresrv.Listen(wiresrv.Config{
+		Addr:       cfg.Addr,
+		NewHandler: func() wiresrv.Handler { return &conn{s: s, tenant: s.def} },
+		Tel:        s.tel,
+		Tracer:     s.tracer,
+		Logf:       cfg.Logf,
+	})
 	if err != nil {
 		s.teardownPools()
 		return nil, fmt.Errorf("server: %w", err)
 	}
-	s.ln = ln
 	if cfg.UDPAddr != "" {
 		lane, err := newUDPLane(s, cfg.UDPAddr, cfg.UDPWindow)
 		if err != nil {
-			ln.Close()
+			s.wire.Kill()
 			s.teardownPools()
 			return nil, fmt.Errorf("server: %w", err)
 		}
 		s.udp = lane
 	}
-	go s.acceptLoop()
+	s.wire.Serve()
 	return s, nil
 }
 
@@ -437,7 +422,7 @@ func (s *Server) addTenant(cfg tenant.Config) error {
 func (s *Server) CreateTenant(spec obs.TenantSpec) error {
 	s.tenMu.Lock()
 	defer s.tenMu.Unlock()
-	if s.draining.Load() {
+	if s.wire.Draining() {
 		return fmt.Errorf("server is shutting down")
 	}
 	if len(s.cfg.Backends) == 0 {
@@ -462,7 +447,7 @@ func (s *Server) CreateTenant(spec obs.TenantSpec) error {
 func (s *Server) DropTenant(name string) error {
 	s.tenMu.Lock()
 	defer s.tenMu.Unlock()
-	if s.draining.Load() {
+	if s.wire.Draining() {
 		return fmt.Errorf("server is shutting down")
 	}
 	t, ok := s.reg.Remove(name)
@@ -484,8 +469,7 @@ func (s *Server) DropTenant(name string) error {
 func (s *Server) TenantStats() []telemetry.TenantStats { return s.snapshot().Tenants }
 
 // snapshot freezes the telemetry set, appending per-tenant rows when named
-// tenants exist and per-shard dispatch rows when dispatch is sharded —
-// default-config servers keep the v3 wire encoding byte-for-byte.
+// tenants exist and per-shard dispatch rows when dispatch is sharded.
 func (s *Server) snapshot() telemetry.Snapshot {
 	sn := s.tel.Snapshot()
 	if s.reg.Len() > 0 {
@@ -525,7 +509,7 @@ func (s *Server) teardownPools() {
 }
 
 // Addr returns the bound listen address (useful with ":0").
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.wire.Addr() }
 
 // UDPAddr returns the UDP ingest lane's bound address, or "" when the
 // lane is disabled.
@@ -581,154 +565,14 @@ func (s *Server) HealthReports() []imps.HealthReport {
 // (nil when tracing is disabled).
 func (s *Server) TraceSpans() []obs.Span { return s.tracer.Snapshot() }
 
-func (s *Server) acceptLoop() {
-	for {
-		c, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.connMu.Lock()
-		if s.draining.Load() {
-			s.connMu.Unlock()
-			c.Close()
-			continue
-		}
-		s.conns[c] = struct{}{}
-		s.connWG.Add(1)
-		s.connMu.Unlock()
-		go s.serveConn(c)
-	}
-}
-
-func (s *Server) dropConn(c net.Conn) {
-	s.connMu.Lock()
-	delete(s.conns, c)
-	s.connMu.Unlock()
-	c.Close()
-}
-
-// handle dispatches one control-plane request frame against the
-// connection's pinned tenant and builds the response frame. Ingest frames
-// never reach it — the connection reader short-circuits them through
-// handleIngestFast (conn.go).
-func (s *Server) handle(f proto.Frame, cs *connState) proto.Frame {
-	start := time.Now()
-	var resp proto.Frame
-	var rpc telemetry.RPC
-	switch f.Type {
-	case proto.TQuery:
-		rpc, resp = telemetry.RPCQuery, s.handleQuery(f, cs.tenant)
-	case proto.TMerge:
-		rpc, resp = telemetry.RPCMerge, s.handleMerge(f, cs.tenant)
-	case proto.TStats:
-		rpc, resp = telemetry.RPCStats, s.handleStats(f)
-	case proto.THealth:
-		rpc, resp = telemetry.RPCHealth, s.handleHealth(f, cs.tenant)
-	case proto.TTrace:
-		rpc, resp = telemetry.RPCTrace, s.handleTrace(f)
-	case proto.TUDPAck:
-		rpc, resp = telemetry.RPCUDPAck, s.handleUDPAck(f)
-	case proto.TSnapshot:
-		rpc, resp = telemetry.RPCSnapshot, s.handleSnapshot(f, cs.tenant)
-	case proto.TBoot:
-		rpc, resp = telemetry.RPCBoot, s.handleBoot(f)
-	case proto.TAuth:
-		rpc, resp = telemetry.RPCAuth, s.handleAuth(f, cs)
-	default:
-		return errorFrame(f.ID, fmt.Sprintf("unsupported request type %s", f.Type))
-	}
-	// One clock read serves both the latency histogram and the RPC span —
-	// parented under the inbound trace context when the frame carried one.
-	dur := time.Since(start)
-	s.tel.Observe(rpc, dur)
-	s.tracer.RecordLinked(obs.Link{Trace: f.TC.Trace, Parent: f.TC.Parent}, obs.SpanRPC, int(rpc), 0, start, dur)
-	return resp
-}
-
-func errorFrame(id uint64, msg string) proto.Frame {
-	return proto.Frame{Type: proto.TError, ID: id, Payload: proto.EncodeError(msg)}
-}
-
-// handleAuth pins the connection to a tenant. A session authenticates at
-// most once — re-pinning mid-stream would let one connection's pipelined
-// batches straddle two engines, so a second TAuth is an error. The default
-// tenant may be named explicitly (token still verified when a key is set);
-// connections that never send TAuth serve it implicitly, which is the
-// whole backward-compatibility story.
-func (s *Server) handleAuth(f proto.Frame, cs *connState) proto.Frame {
-	req, err := proto.DecodeAuthReq(f.Payload)
-	if err != nil {
-		return errorFrame(f.ID, err.Error())
-	}
-	if cs.authed {
-		return errorFrame(f.ID, "auth: session already pinned to a tenant")
-	}
-	var t *tenant.Tenant
-	if req.Tenant == tenant.DefaultName {
-		if !tenant.VerifyToken(s.cfg.TokenKey, req.Tenant, req.Token) {
-			return errorFrame(f.ID, fmt.Sprintf("tenant %q: unknown tenant or bad token", req.Tenant))
-		}
-		t = s.def
-	} else {
-		t, err = s.reg.Authenticate(req.Tenant, req.Token)
-		if err != nil {
-			return errorFrame(f.ID, err.Error())
-		}
-	}
-	cs.tenant = t
-	cs.authed = true
-	return proto.Frame{Type: proto.TOK, ID: f.ID}
-}
-
-// decodeBatchSlow parses an ingest payload through the general
-// BinaryReader — the fallback for payloads whose header is not the
-// server schema's canonical encoding, where the job is the precise
-// schema-mismatch error. The fast path is decodeBatch in conn.go.
-func (s *Server) decodeBatchSlow(payload []byte) ([]stream.Tuple, error) {
-	br, err := stream.NewBinaryReader(bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	got := br.Schema().Names()
-	want := s.cfg.Schema.Names()
-	if len(got) != len(want) {
-		return nil, fmt.Errorf("batch schema has %d attributes, server schema has %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			return nil, fmt.Errorf("batch schema attribute %d is %q, server schema has %q", i, got[i], want[i])
-		}
-	}
-	var tuples []stream.Tuple
-	buf := make([]stream.Tuple, 256)
-	for {
-		n, err := br.NextBatch(buf)
-		for i := 0; i < n; i++ {
-			// NextBatch reuses the slot backing arrays; the queue outlives
-			// this call, so each tuple gets its own slice (the field strings
-			// are already freshly allocated per batch).
-			tuples = append(tuples, append(stream.Tuple(nil), buf[i]...))
-		}
-		if len(tuples) > s.cfg.MaxBatchTuples {
-			return nil, fmt.Errorf("batch exceeds %d tuples", s.cfg.MaxBatchTuples)
-		}
-		if err == io.EOF {
-			return tuples, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-}
-
-func (s *Server) handleQuery(f proto.Frame, t *tenant.Tenant) proto.Frame {
+func (s *Server) handleQuery(f proto.Frame, t *tenant.Tenant) wiresrv.Reply {
 	req, err := proto.DecodeQueryReq(f.Payload)
 	if err != nil {
-		return errorFrame(f.ID, err.Error())
+		return wiresrv.Error(err.Error())
 	}
 	stmts := t.Statements()
 	if int(req.Stmt) >= len(stmts) {
-		return errorFrame(f.ID, fmt.Sprintf("query: no statement %d (tenant has %d)", req.Stmt, len(stmts)))
+		return wiresrv.Error(fmt.Sprintf("query: no statement %d (tenant has %d)", req.Stmt, len(stmts)))
 	}
 	// Shared lock: reads proceed against a live pool. Count takes the
 	// statement's own read lock, so a serialized-class statement is read
@@ -736,29 +580,29 @@ func (s *Server) handleQuery(f proto.Frame, t *tenant.Tenant) proto.Frame {
 	t.Mu.RLock()
 	res := proto.QueryResult{Count: stmts[req.Stmt].Count(), Tuples: t.Engine().Tuples()}
 	t.Mu.RUnlock()
-	return proto.Frame{Type: proto.TResult, ID: f.ID, Payload: res.Encode()}
+	return wiresrv.Result(res.Encode())
 }
 
-func (s *Server) handleMerge(f proto.Frame, t *tenant.Tenant) proto.Frame {
+func (s *Server) handleMerge(f proto.Frame, t *tenant.Tenant) wiresrv.Reply {
 	req, err := proto.DecodeMergeReq(f.Payload)
 	if err != nil {
-		return errorFrame(f.ID, err.Error())
+		return wiresrv.Error(err.Error())
 	}
 	stmts := t.Statements()
 	if int(req.Stmt) >= len(stmts) {
-		return errorFrame(f.ID, fmt.Sprintf("merge: no statement %d (tenant has %d)", req.Stmt, len(stmts)))
+		return wiresrv.Error(fmt.Sprintf("merge: no statement %d (tenant has %d)", req.Stmt, len(stmts)))
 	}
 	st := stmts[req.Stmt]
 	if st.Shared() {
-		return errorFrame(f.ID, fmt.Sprintf("merge: statement %d reads a shared estimator; merge into its owner", req.Stmt))
+		return wiresrv.Error(fmt.Sprintf("merge: statement %d reads a shared estimator; merge into its owner", req.Stmt))
 	}
 	dst, ok := st.Estimator().(*core.Sketch)
 	if !ok {
-		return errorFrame(f.ID, fmt.Sprintf("merge: statement %d estimator (%s) does not support merging", req.Stmt, kindOf(st)))
+		return wiresrv.Error(fmt.Sprintf("merge: statement %d estimator (%s) does not support merging", req.Stmt, kindOf(st)))
 	}
 	src, err := core.UnmarshalSketch(req.Sketch)
 	if err != nil {
-		return errorFrame(f.ID, fmt.Sprintf("merge: %v", err))
+		return wiresrv.Error(fmt.Sprintf("merge: %v", err))
 	}
 	// Exclusive on both levels: the tenant lock keeps checkpoint captures
 	// and readers out, the statement lock keeps its home worker out (a
@@ -769,11 +613,11 @@ func (s *Server) handleMerge(f proto.Frame, t *tenant.Tenant) proto.Frame {
 	st.Exclusive(func() { err = dst.Merge(src) })
 	t.Mu.Unlock()
 	if err != nil {
-		return errorFrame(f.ID, fmt.Sprintf("merge: %v", err))
+		return wiresrv.Error(fmt.Sprintf("merge: %v", err))
 	}
 	s.tracer.Span(obs.SpanMerge, int(req.Stmt), int64(len(req.Sketch)), mergeStart)
 	s.tel.AddMerge()
-	return proto.Frame{Type: proto.TOK, ID: f.ID}
+	return wiresrv.Frame(proto.TOK, nil)
 }
 
 // handleSnapshot answers a state pull: the statement's estimator marshalled
@@ -781,22 +625,22 @@ func (s *Server) handleMerge(f proto.Frame, t *tenant.Tenant) proto.Frame {
 // the capture — the offset a coordinator compares against its journal. The
 // same restrictions as the merge path apply (no shared estimators, plain
 // sketches only), because the reply is meant to round-trip through Merge.
-func (s *Server) handleSnapshot(f proto.Frame, t *tenant.Tenant) proto.Frame {
+func (s *Server) handleSnapshot(f proto.Frame, t *tenant.Tenant) wiresrv.Reply {
 	req, err := proto.DecodeSnapshotReq(f.Payload)
 	if err != nil {
-		return errorFrame(f.ID, err.Error())
+		return wiresrv.Error(err.Error())
 	}
 	stmts := t.Statements()
 	if int(req.Stmt) >= len(stmts) {
-		return errorFrame(f.ID, fmt.Sprintf("snapshot: no statement %d (tenant has %d)", req.Stmt, len(stmts)))
+		return wiresrv.Error(fmt.Sprintf("snapshot: no statement %d (tenant has %d)", req.Stmt, len(stmts)))
 	}
 	st := stmts[req.Stmt]
 	if st.Shared() {
-		return errorFrame(f.ID, fmt.Sprintf("snapshot: statement %d reads a shared estimator; snapshot its owner", req.Stmt))
+		return wiresrv.Error(fmt.Sprintf("snapshot: statement %d reads a shared estimator; snapshot its owner", req.Stmt))
 	}
 	src, ok := st.Estimator().(*core.Sketch)
 	if !ok {
-		return errorFrame(f.ID, fmt.Sprintf("snapshot: statement %d estimator (%s) does not support state pulls", req.Stmt, kindOf(st)))
+		return wiresrv.Error(fmt.Sprintf("snapshot: statement %d estimator (%s) does not support state pulls", req.Stmt, kindOf(st)))
 	}
 	// Exclusive on both levels, like the merge path: the tenant lock keeps
 	// checkpoint captures and merges out, the statement lock keeps its home
@@ -811,15 +655,10 @@ func (s *Server) handleSnapshot(f proto.Frame, t *tenant.Tenant) proto.Frame {
 	st.Exclusive(func() { blob, err = src.MarshalBinary() })
 	t.Mu.Unlock()
 	if err != nil {
-		return errorFrame(f.ID, fmt.Sprintf("snapshot: %v", err))
+		return wiresrv.Error(fmt.Sprintf("snapshot: %v", err))
 	}
 	res.Sketch = blob
-	return proto.Frame{Type: proto.TResult, ID: f.ID, Payload: res.Encode()}
-}
-
-// handleBoot answers with the incarnation nonce drawn at Listen.
-func (s *Server) handleBoot(f proto.Frame) proto.Frame {
-	return proto.Frame{Type: proto.TResult, ID: f.ID, Payload: proto.Boot{Nonce: s.boot}.Encode()}
+	return wiresrv.Result(res.Encode())
 }
 
 func kindOf(st *query.Statement) string {
@@ -829,75 +668,42 @@ func kindOf(st *query.Statement) string {
 	return fmt.Sprintf("%T", st.Estimator())
 }
 
-func (s *Server) handleStats(f proto.Frame) proto.Frame {
-	return proto.Frame{Type: proto.TResult, ID: f.ID, Payload: s.snapshot().Encode()}
-}
-
 // handleHealth answers with the pinned tenant's per-statement health
 // reports. The shared lock keeps merges and checkpoint captures out; each
 // statement's Health takes its own read lock below, the same path Query
 // walks.
-func (s *Server) handleHealth(f proto.Frame, t *tenant.Tenant) proto.Frame {
+func (s *Server) handleHealth(t *tenant.Tenant) wiresrv.Reply {
 	t.Mu.RLock()
 	payload := obs.EncodeHealth(t.Engine().HealthReports())
 	t.Mu.RUnlock()
-	return proto.Frame{Type: proto.TResult, ID: f.ID, Payload: payload}
-}
-
-// handleTrace answers with the span ring's current contents. No lock: the
-// tracer is its own synchronization, and a disabled tracer encodes as an
-// empty dump rather than an error so pollers need not know the server's
-// configuration.
-func (s *Server) handleTrace(f proto.Frame) proto.Frame {
-	return proto.Frame{Type: proto.TResult, ID: f.ID, Payload: obs.EncodeSpans(s.tracer.Snapshot())}
+	return wiresrv.Result(payload)
 }
 
 // handleUDPAck answers a cumulative-acknowledgement poll for one UDP
 // source. A server without the lane — or a source it has never heard from —
 // answers with the zero watermark, so pollers need not know the server's
 // configuration.
-func (s *Server) handleUDPAck(f proto.Frame) proto.Frame {
+func (s *Server) handleUDPAck(f proto.Frame) wiresrv.Reply {
 	req, err := proto.DecodeUDPAckReq(f.Payload)
 	if err != nil {
-		return errorFrame(f.ID, err.Error())
+		return wiresrv.Error(err.Error())
 	}
 	var ack proto.UDPAck
 	if s.udp != nil {
 		ack = s.udp.ack(req.Source)
 	}
-	return proto.Frame{Type: proto.TResult, ID: f.ID, Payload: ack.Encode()}
-}
-
-// shutdown runs the shared teardown: stop accepting, stop the UDP lane,
-// unblock connection readers, drain every lane through its pool, stop the
-// dispatcher and the pools. The lane stops before the fair dispatcher
-// closes: its reader may be blocked enqueueing, and the dispatcher keeps
-// draining until every producer is gone.
-func (s *Server) shutdown(grace time.Duration) {
-	s.draining.Store(true)
-	s.ln.Close()
-	if s.udp != nil {
-		s.udp.close()
-	}
-	s.connMu.Lock()
-	deadline := time.Now().Add(grace)
-	for c := range s.conns {
-		c.SetReadDeadline(deadline)
-	}
-	s.connMu.Unlock()
-	s.connWG.Wait()
-	s.teardownPools() // fair.Close drains the lanes; Pool.Close applies the rest
+	return wiresrv.Result(ack.Encode())
 }
 
 // Close shuts the server down gracefully: the listener closes, connection
 // readers finish their in-flight requests (within a short grace window),
-// every tenant's lane is drained through its engine, and — when
-// checkpointing is configured — final checkpoints are written for the
-// default tenant and every named tenant. Every batch acknowledged before
-// Close is applied before its tenant's final checkpoint.
+// the UDP lane stops, every tenant's lane is drained through its engine,
+// and — when checkpointing is configured — final checkpoints are written
+// for the default tenant and every named tenant. Every batch acknowledged
+// before Close is applied before its tenant's final checkpoint.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
-		s.shutdown(drainGrace)
+		s.shutdown(s.wire.Close)
 		ckptStart := time.Now()
 		if err := s.def.FinalCheckpoint(); err != nil {
 			s.closeErr = err
@@ -918,21 +724,20 @@ func (s *Server) Close() error {
 // written periodic checkpoints survive; the engines must be considered
 // lost.
 func (s *Server) Kill() {
-	s.closeOnce.Do(func() {
-		s.killed.Store(true)
-		s.draining.Store(true)
-		s.ln.Close()
-		if s.udp != nil {
-			s.udp.close()
-		}
-		s.connMu.Lock()
-		for c := range s.conns {
-			c.Close()
-		}
-		s.connMu.Unlock()
-		s.connWG.Wait()
-		s.teardownPools()
-	})
+	s.closeOnce.Do(func() { s.shutdown(s.wire.Kill) })
+}
+
+// shutdown runs the shared teardown: stop the wire listener and its
+// connections (gracefully or not), stop the UDP lane, then drain every
+// lane through its pool and stop the dispatcher and the pools. The readers
+// stop before the fair dispatcher closes: one may be blocked enqueueing,
+// and the dispatcher keeps draining until every producer is gone.
+func (s *Server) shutdown(stopWire func()) {
+	stopWire()
+	if s.udp != nil {
+		s.udp.close()
+	}
+	s.teardownPools() // fair.Close drains the lanes; Pool.Close applies the rest
 }
 
 var _ imps.Estimator = (*core.Sketch)(nil) // the merge path's contract

@@ -18,6 +18,7 @@ import (
 
 	"implicate/internal/obs"
 	"implicate/internal/proto"
+	"implicate/internal/stream"
 )
 
 // udpSource is the per-producer lane state. The accounting invariant is
@@ -172,7 +173,7 @@ func (l *udpLane) apply(src *udpSource, seq uint64, payload []byte, retained boo
 	if retained {
 		defer proto.ReleasePayload(payload)
 	}
-	if l.s.draining.Load() {
+	if l.s.wire.Draining() {
 		l.mu.Lock()
 		src.drops++
 		l.mu.Unlock()
@@ -180,7 +181,7 @@ func (l *udpLane) apply(src *udpSource, seq uint64, payload []byte, retained boo
 		return
 	}
 	b := l.s.def.Pool.NewBatch()
-	tuples, err := l.s.decodeBatch(b.Arena(), payload)
+	tuples, err := stream.DecodeBatch(payload, l.s.cfg.Schema, b.Arena(), l.s.cfg.MaxBatchTuples)
 	if err != nil {
 		b.Release()
 	} else {

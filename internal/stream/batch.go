@@ -1,17 +1,51 @@
 package stream
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 )
 
-// In-memory batch decoding (DESIGN.md §12). The server's ingest payloads
-// arrive as complete binary streams already sitting in one frame buffer;
-// running them through BinaryReader costs a 64 KiB bufio allocation plus a
-// string allocation per tuple. The functions here decode straight from the
-// payload slice instead: the whole batch materializes with three heap
-// allocations — one string conversion covering every record's bytes, one
-// flat field array, one tuple slice — independent of the tuple count.
+// In-memory batch decoding (DESIGN.md §12). Ingest payloads arrive as
+// complete binary streams already sitting in one frame buffer; running them
+// through BinaryReader costs a 64 KiB bufio allocation plus a string
+// allocation per tuple. The functions here decode straight from the payload
+// slice instead: the whole batch materializes with three heap allocations —
+// one string conversion covering every record's bytes, one flat field
+// array, one tuple slice — independent of the tuple count, and one with a
+// recycled RecordArena.
+
+// DecodeBatch decodes one ingest payload — a complete binary stream,
+// header included — whose header must name exactly schema's attributes.
+// It is the one batch decoder of the wire servers (leaf TCP, leaf UDP and
+// coordinator front-end). A header equal to the schema's canonical
+// encoding is verified by a prefix compare; any other header is parsed by
+// BinaryReader, whose job is the precise schema or garbage error (a
+// non-canonical encoding of the right schema still decodes). The records
+// then decode as DecodeBinaryRecords does — into ar's reused capacity when
+// ar is non-nil — and more than maxTuples records is an error.
+func DecodeBatch(payload []byte, schema *Schema, ar *RecordArena, maxTuples int) ([]Tuple, error) {
+	rec := payload
+	if bytes.HasPrefix(payload, schema.hdr) {
+		rec = payload[len(schema.hdr):]
+	} else {
+		br, err := NewBinaryReader(bytes.NewReader(payload))
+		if err != nil {
+			return nil, err
+		}
+		got, want := br.schema.names, schema.names
+		if len(got) != len(want) {
+			return nil, fmt.Errorf("batch schema has %d attributes, expected %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				return nil, fmt.Errorf("batch schema attribute %d is %q, expected %q", i, got[i], want[i])
+			}
+		}
+		rec = payload[br.ByteOffset():]
+	}
+	return decodeBinaryRecords(rec, len(schema.names), maxTuples, ar)
+}
 
 // BinaryHeader returns the encoded binary-format header for schema,
 // exactly as BinaryWriter emits it. A server that compares an ingest

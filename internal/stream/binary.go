@@ -32,31 +32,13 @@ func NewBinaryWriter(w io.Writer, schema *Schema) *BinaryWriter {
 }
 
 func (w *BinaryWriter) header() error {
-	if _, err := w.w.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	if err := w.uvarint(uint64(w.schema.Len())); err != nil {
-		return err
-	}
-	for _, name := range w.schema.names {
-		if err := w.bytes([]byte(name)); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := w.w.Write(w.schema.hdr)
+	return err
 }
 
 func (w *BinaryWriter) uvarint(v uint64) error {
 	n := binary.PutUvarint(w.buf, v)
 	_, err := w.w.Write(w.buf[:n])
-	return err
-}
-
-func (w *BinaryWriter) bytes(b []byte) error {
-	if err := w.uvarint(uint64(len(b))); err != nil {
-		return err
-	}
-	_, err := w.w.Write(b)
 	return err
 }
 

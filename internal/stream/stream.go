@@ -19,6 +19,10 @@ const KeySep = '\x1f'
 type Schema struct {
 	names []string
 	index map[string]int
+	// hdr is the schema's canonical binary-format header (BinaryHeader),
+	// built once: every binary writer emits it and DecodeBatch matches
+	// ingest payloads against it.
+	hdr []byte
 }
 
 // NewSchema builds a schema from attribute names. Names must be non-empty
@@ -37,6 +41,7 @@ func NewSchema(names ...string) (*Schema, error) {
 		}
 		s.index[n] = i
 	}
+	s.hdr = BinaryHeader(s)
 	return s, nil
 }
 

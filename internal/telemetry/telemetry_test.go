@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"encoding/hex"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -139,9 +141,8 @@ func TestSnapshotRoundTripNoWorkers(t *testing.T) {
 	}
 }
 
-// TestSnapshotTenantRoundTrip pins the v4 wire form: a snapshot carrying
-// tenants round-trips them, and one without stays byte-identical to the v3
-// encoding so older readers keep working against no-tenant servers.
+// TestSnapshotTenantRoundTrip: a snapshot carrying tenants round-trips
+// them, and a negative tenant counter is refused as corruption.
 func TestSnapshotTenantRoundTrip(t *testing.T) {
 	var s Set
 	s.AddTuples(9)
@@ -150,21 +151,12 @@ func TestSnapshotTenantRoundTrip(t *testing.T) {
 		{Name: "acme", Weight: 3, Tuples: 100, Batches: 4, Rejected: 1, QuotaRefusals: 2, MemBytes: 1 << 20, MemBudget: 1 << 22, QueueHighWater: 7},
 		{Name: "zeta", Weight: 1, Tuples: 5},
 	}
-	enc := want.Encode()
-	if string(enc[:len(snapshotMagicV4)]) != snapshotMagicV4 {
-		t.Fatalf("tenant snapshot magic %q, want v4", enc[:5])
-	}
-	got, err := DecodeSnapshot(enc)
+	got, err := DecodeSnapshot(want.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
-	}
-
-	plain := s.Snapshot().Encode()
-	if string(plain[:len(snapshotMagic)]) != snapshotMagic {
-		t.Fatalf("tenant-free snapshot magic %q, want v3", plain[:5])
 	}
 
 	// Negative tenant counter is corruption.
@@ -270,11 +262,10 @@ func TestRPCStrings(t *testing.T) {
 	}
 }
 
-// TestSnapshotV5RoundTrip pins the v5 wire form: fine-grained UDP counters
-// and per-shard rows round-trip, a snapshot carrying neither stays
-// byte-identical to the older encodings, and v5 carries the tenant block
-// even when empty.
-func TestSnapshotV5RoundTrip(t *testing.T) {
+// TestSnapshotUDPAndShardRoundTrip: the fine-grained UDP counters and the
+// per-shard rows round-trip, alone and beside tenant rows, and a negative
+// shard counter is refused as corruption.
+func TestSnapshotUDPAndShardRoundTrip(t *testing.T) {
 	var s Set
 	s.AddTuples(11)
 	s.AddUDPApplied()
@@ -288,11 +279,7 @@ func TestSnapshotV5RoundTrip(t *testing.T) {
 		{Lane: "", Shard: 0, Tasks: 40, HighWater: 3},
 		{Lane: "acme", Shard: 1, Tasks: 7, HighWater: 2},
 	}
-	enc := want.Encode()
-	if string(enc[:len(snapshotMagicV5)]) != snapshotMagicV5 {
-		t.Fatalf("v5 snapshot magic %q, want v5", enc[:5])
-	}
-	got, err := DecodeSnapshot(enc)
+	got, err := DecodeSnapshot(want.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,14 +290,6 @@ func TestSnapshotV5RoundTrip(t *testing.T) {
 		t.Fatalf("fine-grained UDP counters %+v", got)
 	}
 
-	// Shard rows alone (no fine UDP counters) also select v5.
-	shardsOnly := (&Set{}).Snapshot()
-	shardsOnly.Shards = []ShardStats{{Lane: "", Shard: 0, Tasks: 1}}
-	if enc := shardsOnly.Encode(); string(enc[:len(snapshotMagicV5)]) != snapshotMagicV5 {
-		t.Fatalf("shard-only snapshot magic %q, want v5", enc[:5])
-	}
-
-	// Tenants ride along inside v5.
 	withTenants := want
 	withTenants.Tenants = []TenantStats{{Name: "acme", Weight: 2, Tuples: 6}}
 	got2, err := DecodeSnapshot(withTenants.Encode())
@@ -318,19 +297,59 @@ func TestSnapshotV5RoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got2, withTenants) {
-		t.Fatalf("v5+tenants round trip mismatch:\n got %+v\nwant %+v", got2, withTenants)
+		t.Fatalf("tenants+shards round trip mismatch:\n got %+v\nwant %+v", got2, withTenants)
 	}
 
-	// A quiet snapshot must not upgrade: byte-identical to v3.
-	quiet := (&Set{}).Snapshot()
-	if enc := quiet.Encode(); string(enc[:len(snapshotMagic)]) != snapshotMagic {
-		t.Fatalf("quiet snapshot magic %q, want v3", enc[:5])
-	}
-
-	// Negative shard counter is corruption.
 	bad := want
 	bad.Shards = []ShardStats{{Lane: "x", Tasks: -1}}
 	if _, err := DecodeSnapshot(bad.Encode()); err == nil || !strings.Contains(err.Error(), "negative shard") {
 		t.Errorf("negative shard counter accepted: %v", err)
+	}
+}
+
+// TestSnapshotGoldenBytes pins the one snapshot layout byte for byte:
+// magic, the fourteen scalar counters in order, the worker block, the
+// histogram geometry and counts, the tenant block and the shard block, all
+// little-endian. The expected bytes are spelled out independently of the
+// encoder, so any layout change fails here first.
+func TestSnapshotGoldenBytes(t *testing.T) {
+	sn := Snapshot{
+		TuplesIngested: 1, Batches: 2, BatchesRejected: 3, Merges: 4, QueueHighWater: 5,
+		PoolSaturation: 6, UDPDatagrams: 7, UDPDups: 8, UDPDrops: 9, UDPApplied: 10,
+		UDPWindowDrops: 11, UDPDecodeDrops: 12, UDPReorders: 13, UDPCRCFailures: 14,
+		Workers: []WorkerStats{{Tasks: 15, Units: 16}},
+		Tenants: []TenantStats{{Name: "t", Weight: 17, Tuples: 18, Batches: 19, Rejected: 20,
+			QuotaRefusals: 21, MemBytes: 22, MemBudget: 23, QueueHighWater: 24}},
+		Shards: []ShardStats{{Lane: "s", Shard: 25, Tasks: 26, HighWater: 27}},
+	}
+	sn.Latency[RPCQuery].Counts[3] = 0x0102030405060708
+
+	u64 := func(vs ...uint64) string {
+		var b strings.Builder
+		for _, v := range vs {
+			for i := 0; i < 8; i++ {
+				fmt.Fprintf(&b, "%02x", byte(v>>(8*i)))
+			}
+		}
+		return b.String()
+	}
+	hist := strings.Repeat("00", 8*HistBuckets*int(RPCQuery)) + // RPCIngest
+		strings.Repeat("00", 8*3) + "0807060504030201" + strings.Repeat("00", 8*(HistBuckets-4)) +
+		strings.Repeat("00", 8*HistBuckets*int(NumRPCs-RPCQuery-1))
+	want := "494d505406" + // "IMPT\x06"
+		u64(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14) +
+		"01000000" + u64(15, 16) + // one worker
+		"0a000000" + "32000000" + hist + // 10 RPCs × 50 buckets
+		"01000000" + "01000000" + "74" + u64(17, 18, 19, 20, 21, 22, 23, 24) + // tenant "t"
+		"01000000" + "01000000" + "73" + u64(25, 26, 27) // shard "s"
+	if got := hex.EncodeToString(sn.Encode()); got != want {
+		t.Fatalf("snapshot encoding drifted:\n got %s\nwant %s", got, want)
+	}
+	got, err := DecodeSnapshot(sn.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, sn) {
+		t.Fatalf("golden snapshot round trip mismatch:\n got %+v\nwant %+v", got, sn)
 	}
 }

@@ -142,7 +142,7 @@ func Dial(addr string, schema *Schema, opt ClientOptions) (*Client, error) {
 // Close the returned AdminServer before (or after) closing srv; the two
 // are independent.
 func ServeAdmin(addr string, srv *Server) (*AdminServer, error) {
-	return obs.ListenAdmin(addr, srv)
+	return obs.ListenAdmin(addr, obs.NewAdminMux(srv))
 }
 
 // Coordinator fronts a fleet of impserved leaves (DESIGN.md §13): it
@@ -212,7 +212,7 @@ type FleetLeafJSON = obs.FleetLeafJSON
 // ServeAdmin the endpoint is unauthenticated — bind it to loopback or an
 // operations network.
 func ServeCoordinatorAdmin(addr string, co *Coordinator) (*AdminServer, error) {
-	return obs.ListenFleetAdmin(addr, co)
+	return obs.ListenAdmin(addr, obs.NewFleetAdminMux(co))
 }
 
 // ServeCoordinator starts a wire front-end for co on addr. Closing the
