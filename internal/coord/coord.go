@@ -56,10 +56,6 @@ type Config struct {
 	// VirtualPartitions sizes the route table; a power of two >= the fleet
 	// size. Default 64.
 	VirtualPartitions int
-	// Partitioner overrides the key→partition mapping; any
-	// imps.PartitionedAdder satisfies it. Nil selects the fixed-seed xhash
-	// router, which every identically-configured coordinator shares.
-	Partitioner Partitioner
 	// FlushTuples is the per-leaf batch size: routed tuples are buffered
 	// until a leaf's buffer holds this many, then journaled and delivered
 	// as one batch. Default 512.
@@ -205,7 +201,7 @@ func New(cfg Config) (*Coordinator, error) {
 		names[i] = l.Name
 	}
 	attrs := append(append([]string(nil), co.queries[0].A...), co.queries[0].GroupBy...)
-	rt, err := newRouteTable(cfg.Schema, attrs, cfg.Partitioner, cfg.VirtualPartitions, names)
+	rt, err := newRouteTable(cfg.Schema, attrs, cfg.VirtualPartitions, names)
 	if err != nil {
 		return nil, err
 	}

@@ -456,11 +456,11 @@ func TestFrontendIngestRejectsBadBatches(t *testing.T) {
 func TestRouteTableRendezvousStability(t *testing.T) {
 	schema := fleetSchema(t)
 	names := []string{"a", "b", "c"}
-	rt3, err := newRouteTable(schema, []string{"A"}, nil, 128, names)
+	rt3, err := newRouteTable(schema, []string{"A"}, 128, names)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt4, err := newRouteTable(schema, []string{"A"}, nil, 128, append(names, "d"))
+	rt4, err := newRouteTable(schema, []string{"A"}, 128, append(names, "d"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,13 +485,13 @@ func TestRouteTableRendezvousStability(t *testing.T) {
 // silently breaks on.
 func TestRouteTableValidation(t *testing.T) {
 	schema := fleetSchema(t)
-	if _, err := newRouteTable(schema, []string{"A"}, nil, 48, []string{"a"}); err == nil {
+	if _, err := newRouteTable(schema, []string{"A"}, 48, []string{"a"}); err == nil {
 		t.Error("non-power-of-two partition count accepted")
 	}
-	if _, err := newRouteTable(schema, []string{"A"}, nil, 2, []string{"a", "b", "c"}); err == nil {
+	if _, err := newRouteTable(schema, []string{"A"}, 2, []string{"a", "b", "c"}); err == nil {
 		t.Error("fewer partitions than leaves accepted")
 	}
-	if _, err := newRouteTable(schema, []string{"nope"}, nil, 16, []string{"a"}); err == nil {
+	if _, err := newRouteTable(schema, []string{"nope"}, 16, []string{"a"}); err == nil {
 		t.Error("unknown route attribute accepted")
 	}
 }

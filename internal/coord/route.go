@@ -4,9 +4,9 @@
 // The route key is the template statement's A-projection (A attributes plus
 // GROUP BY, the same key its estimators hash), so all tuples of one itemset
 // land on one leaf and every leaf's sketch sees a disjoint key population.
-// Keys map to a fixed power-of-two number of virtual partitions through the
-// imps.PartitionedAdder IngestPartition contract — the same stable
-// key→partition mapping the in-process pipeline plans with — and virtual
+// Keys map to a fixed power-of-two number of virtual partitions by the low
+// bits of a fixed-seed hash — one partition per key, the same rule the
+// in-process pipeline plans with (imps.PartitionedAdder) — and virtual
 // partitions map to leaves by rendezvous hashing over the stable leaf
 // names, so growing the fleet moves only the partitions the new leaf wins.
 //
@@ -25,37 +25,21 @@ import (
 	"implicate/internal/xhash"
 )
 
-// Partitioner maps an encoded route key to one of n partitions, n a power
-// of two >= 1, with the imps.PartitionedAdder IngestPartition contract:
-// every key maps to exactly one partition for a given n. Any
-// imps.PartitionedAdder satisfies it; the default is an xhash router with a
-// fixed seed, so two coordinators configured alike route alike.
-type Partitioner interface {
-	IngestPartition(a []byte, n int) int
-}
-
-// routeSeed fixes the default router's hash so routing is a pure function
-// of configuration — a coordinator restart, or a shadow fleet, routes
+// routeSeed fixes the route key hash so routing is a pure function of
+// configuration — a coordinator restart, or a shadow fleet, routes
 // identically.
 const routeSeed = 0x1cde2005
-
-// hashRouter is the default Partitioner.
-type hashRouter struct{ h xhash.Hash }
-
-func (r hashRouter) IngestPartition(a []byte, n int) int {
-	return int(r.h.SumBytes(a) & uint64(n-1))
-}
 
 // routeTable is the immutable partition→leaf assignment.
 type routeTable struct {
 	parts int
-	part  Partitioner
+	hash  xhash.Hash
 	proj  stream.Proj
 	owner []int    // virtual partition → leaf index
 	share []uint32 // leaf index → partitions owned
 }
 
-func newRouteTable(schema *stream.Schema, attrs []string, part Partitioner, parts int, names []string) (*routeTable, error) {
+func newRouteTable(schema *stream.Schema, attrs []string, parts int, names []string) (*routeTable, error) {
 	if parts < 1 || parts&(parts-1) != 0 {
 		return nil, fmt.Errorf("coord: %d virtual partitions; must be a power of two >= 1", parts)
 	}
@@ -69,12 +53,9 @@ func newRouteTable(schema *stream.Schema, attrs []string, part Partitioner, part
 	if err != nil {
 		return nil, fmt.Errorf("coord: route key: %w", err)
 	}
-	if part == nil {
-		part = hashRouter{h: xhash.New(routeSeed)}
-	}
 	rt := &routeTable{
 		parts: parts,
-		part:  part,
+		hash:  xhash.New(routeSeed),
 		proj:  proj,
 		owner: make([]int, parts),
 		share: make([]uint32, len(names)),
@@ -104,5 +85,5 @@ func newRouteTable(schema *stream.Schema, attrs []string, part Partitioner, part
 // reusable key scratch.
 func (rt *routeTable) leafOf(t stream.Tuple, scratch []byte) (int, []byte) {
 	key := rt.proj.AppendKey(scratch[:0], t)
-	return rt.owner[rt.part.IngestPartition(key, rt.parts)], key
+	return rt.owner[rt.hash.SumBytes(key)&uint64(rt.parts-1)], key
 }

@@ -190,9 +190,9 @@ func (ss *ShardedSketch) AddHashedBatch(batch []HashedPair) {
 	}
 }
 
-// batchChunk is the number of tuples hashed onto the stack at a time by the
-// string-keyed batch path; it bounds per-call stack use at 2 KiB while
-// amortizing shard lock traffic ~64×.
+// batchChunk is the number of tuples staged on the stack at a time by
+// AddBatch and AddHashedPairs on their way into AddHashedBatch; it bounds
+// per-call stack use at 2 KiB while amortizing shard lock traffic ~64×.
 const batchChunk = 128
 
 // AddBatch observes a batch of encoded itemset pairs. Keys are hashed into a
@@ -201,11 +201,8 @@ const batchChunk = 128
 func (ss *ShardedSketch) AddBatch(pairs []imps.Pair) {
 	var chunk [batchChunk]HashedPair
 	for len(pairs) > 0 {
-		n := len(pairs)
-		if n > batchChunk {
-			n = batchChunk
-		}
-		for i := 0; i < n; i++ {
+		n := min(len(pairs), batchChunk)
+		for i := range n {
 			chunk[i] = HashedPair{AH: ss.ahash.Sum(pairs[i].A), BH: ss.bhash.Sum(pairs[i].B)}
 		}
 		ss.AddHashedBatch(chunk[:n])
@@ -213,11 +210,33 @@ func (ss *ShardedSketch) AddBatch(pairs []imps.Pair) {
 	}
 }
 
-// IngestPartition implements imps.PartitionedAdder: it maps an encoded
-// A-itemset key to the ingest partition that must observe it when the
+// IngestPartitionString maps an encoded A-itemset key to its ingest
+// partition among n; it equals IngestPartitionHashed of the key's
+// HashPairKeys hash, so producers that split a stream by key before
+// sending it route exactly like the planner.
+func (ss *ShardedSketch) IngestPartitionString(a string, n int) int {
+	return ss.IngestPartitionHashed(ss.ahash.Sum(a), n)
+}
+
+// HashPair pre-hashes one encoded itemset pair for AddHashedBatch. Producer
+// goroutines can hash their tuples without any lock and hand the sketch
+// ready-routed batches.
+func (ss *ShardedSketch) HashPair(a, b string) HashedPair {
+	return HashedPair{AH: ss.ahash.Sum(a), BH: ss.bhash.Sum(b)}
+}
+
+// HashPairKeys implements imps.PartitionedAdder: the planner computes this
+// sketch's own seeded hashes once and forwards them through the plan IR,
+// so the ingest path never re-hashes a key.
+func (ss *ShardedSketch) HashPairKeys(a, b string) (ah, bh uint64) {
+	return ss.ahash.Sum(a), ss.bhash.Sum(b)
+}
+
+// IngestPartitionHashed implements imps.PartitionedAdder: it maps a
+// pre-hashed A key to the ingest partition that must observe it when the
 // caller splits a batch across n concurrent workers.
 //
-// The partition is the low bits of the A-hash — the same bits the
+// The partition is the low bits of the A hash — the same bits the
 // stochastic-averaging router uses to pick the tuple's bitmap and this
 // type uses to pick the shard — clamped so that n never exceeds the shard
 // count. The clamp makes a partition exactly one shard (or a power-of-two
@@ -232,39 +251,6 @@ func (ss *ShardedSketch) AddBatch(pairs []imps.Pair) {
 // The partition of a key does not depend on the worker count beyond the
 // clamp: partition p under 2n splits into {p, p+n} under n's refinement,
 // so any power-of-two pool size yields the same per-shard order.
-func (ss *ShardedSketch) IngestPartition(a []byte, n int) int {
-	if n > len(ss.shards) {
-		n = len(ss.shards)
-	}
-	return int(ss.ahash.SumBytes(a) & uint64(n-1))
-}
-
-// IngestPartitionString implements imps.StringPartitioner; see
-// IngestPartition.
-func (ss *ShardedSketch) IngestPartitionString(a string, n int) int {
-	if n > len(ss.shards) {
-		n = len(ss.shards)
-	}
-	return int(ss.ahash.Sum(a) & uint64(n-1))
-}
-
-// HashPair pre-hashes one encoded itemset pair for AddHashedBatch. Producer
-// goroutines can hash their tuples without any lock and hand the sketch
-// ready-routed batches.
-func (ss *ShardedSketch) HashPair(a, b string) HashedPair {
-	return HashedPair{AH: ss.ahash.Sum(a), BH: ss.bhash.Sum(b)}
-}
-
-// HashPairKeys implements imps.HashedPartitionedAdder: the planner computes
-// this sketch's own seeded hashes once and forwards them through the plan
-// IR, so the ingest path never re-hashes a key.
-func (ss *ShardedSketch) HashPairKeys(a, b string) (ah, bh uint64) {
-	return ss.ahash.Sum(a), ss.bhash.Sum(b)
-}
-
-// IngestPartitionHashed routes a pre-hashed A key; it must agree with
-// IngestPartitionString for hashes produced by HashPairKeys, which it does
-// trivially — both mask the same ahash.Sum value.
 func (ss *ShardedSketch) IngestPartitionHashed(ah uint64, n int) int {
 	if n > len(ss.shards) {
 		n = len(ss.shards)
@@ -272,44 +258,21 @@ func (ss *ShardedSketch) IngestPartitionHashed(ah uint64, n int) int {
 	return int(ah & uint64(n-1))
 }
 
-// AddHashedPairs ingests plan-IR pairs whose hashes came from HashPairKeys.
-// It is AddHashedBatch over the embedded hashes — the keys ride along for
-// exact backends and are ignored here — so bit-identity to AddBatch of the
-// same pairs follows from both paths calling the same seeded hash functions.
+// AddHashedPairs implements imps.PartitionedAdder: it ingests plan-IR
+// pairs whose hashes came from HashPairKeys. The hashes are copied into a
+// stack-resident chunk and handed to AddHashedBatch — the keys ride along
+// for exact backends and are ignored here — so the result is bit-identical
+// to AddBatch of the same pairs, both paths calling the same seeded hash
+// functions.
 func (ss *ShardedSketch) AddHashedPairs(pairs []imps.HashedPair) {
-	if len(ss.shards) == 1 {
-		sh := &ss.shards[0]
-		sh.mu.Lock()
-		for i := range pairs {
-			bm, rank := ss.router.Route(pairs[i].AH)
-			if rank >= Levels {
-				rank = Levels - 1
-			}
-			sh.sk.addRouted(bm>>ss.shardShift, rank, pairs[i].AH, pairs[i].BH)
+	var chunk [batchChunk]HashedPair
+	for len(pairs) > 0 {
+		n := min(len(pairs), batchChunk)
+		for i := range n {
+			chunk[i] = HashedPair{AH: pairs[i].AH, BH: pairs[i].BH}
 		}
-		sh.mu.Unlock()
-		return
-	}
-	for si := range ss.shards {
-		sh := &ss.shards[si]
-		locked := false
-		for i := range pairs {
-			if int(pairs[i].AH&ss.shardMask) != si {
-				continue
-			}
-			if !locked {
-				sh.mu.Lock()
-				locked = true
-			}
-			bm, rank := ss.router.Route(pairs[i].AH)
-			if rank >= Levels {
-				rank = Levels - 1
-			}
-			sh.sk.addRouted(bm>>ss.shardShift, rank, pairs[i].AH, pairs[i].BH)
-		}
-		if locked {
-			sh.mu.Unlock()
-		}
+		ss.AddHashedBatch(chunk[:n])
+		pairs = pairs[n:]
 	}
 }
 
@@ -495,4 +458,3 @@ func (ss *ShardedSketch) Reset() {
 var _ imps.Estimator = (*ShardedSketch)(nil)
 var _ imps.MultiplicityAverager = (*ShardedSketch)(nil)
 var _ imps.PartitionedAdder = (*ShardedSketch)(nil)
-var _ imps.HashedPartitionedAdder = (*ShardedSketch)(nil)

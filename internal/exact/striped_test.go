@@ -68,7 +68,8 @@ func TestStripedMatchesCounter(t *testing.T) {
 }
 
 // TestStripedConcurrentPartitions splits a stream into partitions with
-// IngestPartition and ingests each from its own goroutine (run with -race).
+// IngestPartitionHashed over HashPairKeys and ingests each from its own
+// goroutine through AddHashedPairs (run with -race).
 // Per-key order is preserved because a key's tuples share a partition, so
 // the final state must equal the serial run bit for bit.
 func TestStripedConcurrentPartitions(t *testing.T) {
@@ -90,21 +91,22 @@ func TestStripedConcurrentPartitions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		buckets := make([][]imps.Pair, parts)
+		buckets := make([][]imps.HashedPair, parts)
 		for _, p := range pairs {
-			i := s.IngestPartition([]byte(p.A), parts)
-			buckets[i] = append(buckets[i], p)
+			ah, bh := s.HashPairKeys(p.A, p.B)
+			i := s.IngestPartitionHashed(ah, parts)
+			buckets[i] = append(buckets[i], imps.HashedPair{A: p.A, B: p.B, AH: ah, BH: bh})
 		}
 		var wg sync.WaitGroup
 		for _, bucket := range buckets {
 			wg.Add(1)
-			go func(bucket []imps.Pair) {
+			go func(bucket []imps.HashedPair) {
 				defer wg.Done()
 				// Chunked adds interleave stripe lock acquisition across
 				// partitions.
 				for len(bucket) > 0 {
 					n := min(256, len(bucket))
-					s.AddBatch(bucket[:n])
+					s.AddHashedPairs(bucket[:n])
 					bucket = bucket[n:]
 				}
 			}(bucket)

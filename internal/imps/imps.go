@@ -106,41 +106,6 @@ type BytesAdder interface {
 	AddBytes(a, b []byte)
 }
 
-// PartitionedAdder is implemented by estimators whose ingest path may be
-// split across concurrent workers without changing the resulting state —
-// the partition-safe class of DESIGN.md §10. IngestPartition maps an
-// encoded A-itemset key to one of n partitions (n a power of two >= 1).
-// The contract:
-//
-//   - every key maps to exactly one partition for a given n, so all tuples
-//     of one key land in one partition;
-//   - any two ingestion schedules that preserve the relative Add order
-//     within each partition leave the estimator in identical (bit-for-bit
-//     marshalled) state;
-//   - concurrent AddBatch calls are safe whenever no two in-flight calls
-//     carry pairs of the same partition.
-//
-// The implementation must choose partitions compatible with its own
-// internal routing: the sharded sketch, for example, partitions on the low
-// bits of the A-hash so that all tuples addressed to one bitmap — where
-// arrival order determines overflow kills and fringe push-outs — stay in
-// one partition.
-type PartitionedAdder interface {
-	BatchAdder
-	// IngestPartition returns the partition in [0, n) that must ingest the
-	// tuple whose A-projection encodes to a. n must be a power of two >= 1.
-	// The caller may reuse a after the call returns.
-	IngestPartition(a []byte, n int) int
-}
-
-// StringPartitioner extends PartitionedAdder with string-key routing, so a
-// planner already holding the key as a string routes it without a byte
-// conversion. IngestPartitionString(a, n) must equal
-// IngestPartition([]byte(a), n) for every key.
-type StringPartitioner interface {
-	IngestPartitionString(a string, n int) int
-}
-
 // HashedPair is the hash-once plan IR: one tuple's projected keys together
 // with the estimator's own hashes of them, computed exactly once at plan
 // time by HashPairKeys. The strings stay because exact backends index by
@@ -151,26 +116,34 @@ type HashedPair struct {
 	AH, BH uint64
 }
 
-// HashedPartitionedAdder is implemented by partition-safe estimators that
-// can consume key hashes forwarded from the planner instead of re-hashing.
-// The hashes are estimator-specific — each implementation seeds its own
-// hash functions — so they must come from the same estimator's HashPairKeys.
-// The contract, on top of PartitionedAdder's:
+// PartitionedAdder is implemented by estimators whose ingest path may be
+// split across concurrent workers without changing the resulting state —
+// the partition-safe class of DESIGN.md §10. The planner hashes each
+// projected pair once with the estimator's own seeded hash functions
+// (HashPairKeys), routes it by its A hash (IngestPartitionHashed), and the
+// workers apply the forwarded hashes (AddHashedPairs) without re-hashing.
+// Hashes are estimator-specific, so they must come from the same
+// estimator's HashPairKeys. The contract, for n a power of two >= 1:
 //
-//   - AddHashedPairs(pairs) with every pair's AH/BH from HashPairKeys(A, B)
-//     leaves the estimator in state bit-identical to AddBatch of the same
-//     pairs in the same order;
-//   - IngestPartitionHashed(ah, n) with ah from HashPairKeys(a, _) equals
-//     IngestPartitionString(a, n) for every key and every power-of-two n,
-//     so a hashed and an un-hashed planner bucket identically;
-//   - concurrent AddHashedPairs calls are safe under the same
-//     distinct-partition condition as AddBatch.
-type HashedPartitionedAdder interface {
-	PartitionedAdder
+//   - every A hash maps to exactly one partition for a given n, so all
+//     tuples of one key land in one partition;
+//   - any two ingestion schedules that preserve the relative order of
+//     pairs within each partition leave the estimator in identical
+//     (bit-for-bit marshalled) state, equal to adding the pairs serially;
+//   - concurrent AddHashedPairs calls are safe whenever no two in-flight
+//     calls carry pairs of the same partition.
+//
+// The implementation must choose partitions compatible with its own
+// internal routing: the sharded sketch, for example, partitions on the low
+// bits of the A hash so that all tuples addressed to one bitmap — where
+// arrival order determines overflow kills and fringe push-outs — stay in
+// one partition.
+type PartitionedAdder interface {
 	// HashPairKeys computes this estimator's hashes of one projected pair.
 	// Implementations that hash only the A key (exact stores) return bh = 0.
 	HashPairKeys(a, b string) (ah, bh uint64)
-	// IngestPartitionHashed routes a pre-hashed A key to its partition.
+	// IngestPartitionHashed returns the partition in [0, n) that must
+	// ingest the tuple whose A key hashed to ah.
 	IngestPartitionHashed(ah uint64, n int) int
 	// AddHashedPairs ingests pairs whose hashes were forwarded from
 	// HashPairKeys. The caller may reuse the slice after the call returns;

@@ -5,10 +5,11 @@
 // preserving, by construction, the exact state a serial run would build.
 //
 // The ordering argument (DESIGN.md §10): partition-safe statements route
-// every A-itemset to one ingest partition of their estimator, each
-// partition is pinned to one worker, and worker queues are FIFO — so the
-// per-partition tuple order equals the batch arrival order, which the
-// imps.PartitionedAdder contract says is the only order that matters.
+// every A-itemset, by the estimator's own hash of it, to one ingest
+// partition, each partition is pinned to one worker, and worker queues are
+// FIFO — so the per-partition tuple order equals the batch arrival order,
+// which the imps.PartitionedAdder contract says is the only order that
+// matters.
 // Serialized statements are pinned whole to one home worker, so their
 // estimator sees the full batch sequence in arrival order, exactly like
 // the old single-worker loop. Reordering only ever happens across
@@ -72,8 +73,8 @@ type Pool struct {
 	workers int
 	// parts is the partition count statements plan against: the smallest
 	// power of two >= workers, so every worker owns at least one partition
-	// and the partition of a key never depends on the worker count (see
-	// imps.PartitionedAdder).
+	// and the partition of a key's hash never depends on the worker count
+	// (see imps.PartitionedAdder).
 	parts  int
 	owners []*query.Statement
 	// home pins each serialized-class owner (by index in owners) to one
@@ -101,12 +102,10 @@ type Batch struct {
 	// arena backs the batch's decoded tuples (see Arena); recycled with the
 	// batch, so its lifetime is exactly the batch's plan-to-apply window.
 	arena stream.RecordArena
-	// hb and pb are the per-owner partition-bucket backing stores: owner i
-	// plans into window [i*parts, (i+1)*parts). Bucket capacity persists
-	// across reuse, which is what makes steady-state planning allocation-
-	// free.
+	// hb is the per-owner partition-bucket backing store: owner i plans
+	// into window [i*parts, (i+1)*parts). Bucket capacity persists across
+	// reuse, which is what makes steady-state planning allocation-free.
 	hb [][]imps.HashedPair
-	pb [][]imps.Pair
 	// link is the causal identity the batch's apply spans record under —
 	// the inbound frame's trace context, threaded from the connection
 	// reader through dispatch to the workers. Zero for untraced batches.
@@ -127,12 +126,11 @@ func (b *Batch) Tuples() int { return b.n }
 func (b *Batch) Arena() *stream.RecordArena { return &b.arena }
 
 // task is one unit of worker work: a planned partition bucket for a
-// partition-safe statement (hash-forwarding when the estimator supports
-// it), a whole tuple batch for a serialized one, or a fence sentinel.
+// partition-safe statement, a whole tuple batch for a serialized one, or a
+// fence sentinel.
 type task struct {
 	st     *query.Statement
-	pairs  []imps.Pair
-	hpairs []imps.HashedPair
+	pairs  []imps.HashedPair
 	tuples []stream.Tuple
 	batch  *Batch
 	worker int
@@ -222,33 +220,21 @@ func (p *Pool) Plan(ts []stream.Tuple) *Batch {
 // and must not reuse it until the batch is applied (tuples decoded into
 // b.Arena() satisfy this by construction).
 //
-// Estimators that accept forwarded hashes (query.Statement.
-// HashedPartitionSafe) are planned through the hash-once IR: each key is
-// hashed here, once, with the estimator's own hash functions, and the
+// Partition-safe statements are planned through the hash-once IR: each key
+// is hashed here, once, with the estimator's own hash functions, and the
 // workers apply the hashes instead of re-hashing.
 func (p *Pool) PlanInto(b *Batch, ts []stream.Tuple) *Batch {
 	b.n = len(ts)
 	b.tasks = b.tasks[:0]
 	if len(b.hb) != len(p.owners)*p.parts {
 		b.hb = make([][]imps.HashedPair, len(p.owners)*p.parts)
-		b.pb = make([][]imps.Pair, len(p.owners)*p.parts)
 	}
 	for i, st := range p.owners {
 		if p.home[i] >= 0 {
 			b.tasks = append(b.tasks, task{st: st, tuples: ts, worker: p.home[i], batch: b})
 			continue
 		}
-		if st.HashedPartitionSafe() {
-			win := st.PlanPartitionsHashed(ts, p.parts, b.hb[i*p.parts:(i+1)*p.parts])
-			for part, bucket := range win {
-				if len(bucket) == 0 {
-					continue
-				}
-				b.tasks = append(b.tasks, task{st: st, hpairs: bucket, worker: part % p.workers, batch: b})
-			}
-			continue
-		}
-		win := st.PlanPartitions(ts, p.parts, b.pb[i*p.parts:(i+1)*p.parts])
+		win := st.PlanPartitionsHashed(ts, p.parts, b.hb[i*p.parts:(i+1)*p.parts])
 		for part, bucket := range win {
 			if len(bucket) == 0 {
 				continue
@@ -375,14 +361,10 @@ func (p *Pool) run(w int) {
 			link = t.batch.link
 		}
 		units := 0
-		switch {
-		case t.hpairs != nil:
-			t.st.ProcessHashedPairs(t.hpairs)
-			units = len(t.hpairs)
-		case t.pairs != nil:
-			t.st.ProcessPairs(t.pairs)
+		if t.pairs != nil {
+			t.st.ProcessHashedPairs(t.pairs)
 			units = len(t.pairs)
-		default:
+		} else {
 			t.st.ProcessBatchExclusive(t.tuples)
 			units = len(t.tuples)
 		}

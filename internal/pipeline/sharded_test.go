@@ -6,46 +6,23 @@ import (
 	"sync"
 	"testing"
 
-	"implicate/internal/imps"
 	"implicate/internal/query"
 	"implicate/internal/snapshot"
 	"implicate/internal/stream"
 )
 
-// unhashedAdder hides an estimator's HashedPartitionedAdder fast path so
-// the planner is forced through the un-hashed pair IR, while everything a
-// statement needs (Estimator, partitioned ingest) still forwards to the
-// inner estimator. The determinism suite uses it to prove the hashed and
-// un-hashed plan paths build bit-identical state.
-type unhashedAdder struct {
-	imps.Estimator
-	part imps.PartitionedAdder
-}
-
-func (u *unhashedAdder) AddBatch(pairs []imps.Pair)          { u.part.AddBatch(pairs) }
-func (u *unhashedAdder) IngestPartition(a []byte, n int) int { return u.part.IngestPartition(a, n) }
-
-var _ imps.PartitionedAdder = (*unhashedAdder)(nil)
-
-// unhashedBackend wraps a backend's estimators in unhashedAdder.
-func unhashedBackend(b query.Backend) query.Backend {
-	return func(cond imps.Conditions) (imps.Estimator, error) {
-		est, err := b(cond)
-		if err != nil {
-			return nil, err
-		}
-		return &unhashedAdder{Estimator: est, part: est.(imps.PartitionedAdder)}, nil
-	}
-}
-
-// registerPropSuite registers two non-sharing partition-safe statements —
-// a plain one and a filtered one — so per-statement estimator blobs compare
-// one-to-one across runs regardless of estimator-sharing heuristics.
+// registerPropSuite registers three non-sharing partition-safe statements
+// — a plain one, a filtered one and a grouped one — so per-statement
+// estimator blobs compare one-to-one across runs regardless of
+// estimator-sharing heuristics. The grouped statement's two-attribute
+// route key takes the planner's key-assembly branch; the others take its
+// single-attribute fast path.
 func registerPropSuite(t *testing.T, eng *query.Engine, backend query.Backend) {
 	t.Helper()
 	for _, sql := range []string{
 		`SELECT COUNT(DISTINCT Source) FROM s WHERE Source IMPLIES Destination WITH SUPPORT >= 3, MULTIPLICITY <= 2, CONFIDENCE >= 0.6 TOP 1`,
 		`SELECT COUNT(DISTINCT Source) FROM s WHERE Source IMPLIES Destination WITH SUPPORT >= 3, MULTIPLICITY <= 2, CONFIDENCE >= 0.6 TOP 1 AND Service = 'svc1'`,
+		`SELECT COUNT(DISTINCT Source) FROM s WHERE Source IMPLIES Destination WITH SUPPORT >= 3, MULTIPLICITY <= 2, CONFIDENCE >= 0.6 TOP 1 GROUP BY Service`,
 	} {
 		if _, err := eng.RegisterSQL(sql, backend); err != nil {
 			t.Fatalf("register %q: %v", sql, err)
@@ -53,18 +30,13 @@ func registerPropSuite(t *testing.T, eng *query.Engine, backend query.Backend) {
 	}
 }
 
-// estBlobs marshals each statement's inner estimator (unwrapping
-// unhashedAdder), giving a state fingerprint comparable across the wrapped
-// and unwrapped variants of one backend.
+// estBlobs marshals each statement's estimator, giving a per-statement
+// state fingerprint comparable across runs.
 func estBlobs(t *testing.T, eng *query.Engine) [][]byte {
 	t.Helper()
 	var blobs [][]byte
 	for _, st := range eng.Statements() {
-		est := st.Estimator()
-		if u, ok := est.(*unhashedAdder); ok {
-			est = u.Estimator
-		}
-		blob, err := snapshot.Marshal(est)
+		blob, err := snapshot.Marshal(st.Estimator())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,43 +103,28 @@ func runFair(t *testing.T, backend query.Backend, batches [][]stream.Tuple, work
 
 // TestShardedDispatchDeterminism is the sharded-dispatch property test: for
 // every partition-safe backend, engine state is bit-identical across
-// {single dispatcher, fair dispatch at 1/2/4 shards} × workers {1,2,4,8} ×
-// {hashed, un-hashed} plan paths, and every combination equals the serial
-// reference. Run with -race: the sharded runs exercise concurrent
-// DispatchShard calls over shared batches.
+// {single dispatcher, fair dispatch at 1/2/4 shards} × workers {1,2,4,8},
+// and every combination equals the serial reference. Run with -race: the
+// sharded runs exercise concurrent DispatchShard calls over shared batches.
 func TestShardedDispatchDeterminism(t *testing.T) {
 	batches := workload(24, 300)
 	for _, name := range []string{"sharded", "exact-striped"} {
-		base := backends(42)[name]
+		backend := backends(42)[name]
 		t.Run(name, func(t *testing.T) {
-			var hashedRef [][]byte
-			for _, hashed := range []bool{true, false} {
-				backend := base
-				if !hashed {
-					backend = unhashedBackend(base)
+			serial := query.NewEngine(testSchema(t))
+			registerPropSuite(t, serial, backend)
+			for _, ts := range batches {
+				serial.ProcessBatch(ts)
+			}
+			want := estBlobs(t, serial)
+			for _, workers := range []int{1, 2, 4, 8} {
+				label := fmt.Sprintf("workers=%d", workers)
+				if got := runDirect(t, backend, batches, workers); !blobsEqual(got, want) {
+					t.Errorf("%s: single-dispatcher state diverged from serial", label)
 				}
-				serial := query.NewEngine(testSchema(t))
-				registerPropSuite(t, serial, backend)
-				for _, ts := range batches {
-					serial.ProcessBatch(ts)
-				}
-				want := estBlobs(t, serial)
-				if hashed {
-					hashedRef = want
-				} else if !blobsEqual(want, hashedRef) {
-					// The two serial references must agree before the
-					// parallel comparisons mean anything.
-					t.Fatal("un-hashed serial state diverged from hashed serial state")
-				}
-				for _, workers := range []int{1, 2, 4, 8} {
-					label := fmt.Sprintf("hashed=%v/workers=%d", hashed, workers)
-					if got := runDirect(t, backend, batches, workers); !blobsEqual(got, want) {
-						t.Errorf("%s: single-dispatcher state diverged from serial", label)
-					}
-					for _, shards := range []int{1, 2, 4} {
-						if got := runFair(t, backend, batches, workers, shards); !blobsEqual(got, want) {
-							t.Errorf("%s/shards=%d: fair-dispatch state diverged from serial", label, shards)
-						}
+				for _, shards := range []int{1, 2, 4} {
+					if got := runFair(t, backend, batches, workers, shards); !blobsEqual(got, want) {
+						t.Errorf("%s/shards=%d: fair-dispatch state diverged from serial", label, shards)
 					}
 				}
 			}

@@ -24,10 +24,11 @@ type Backend func(cond imps.Conditions) (imps.Estimator, error)
 // §10). Partition-safe statements (PartitionSafe reports true) are bound to
 // an estimator implementing imps.PartitionedAdder: their ingest may be
 // split across concurrent workers along the estimator's own partitions via
-// PlanPartitions/ProcessPairs, and reads are safe at any time. Serialized
-// statements — plain sketches, the baselines, sliding windows — must be fed
-// through ProcessBatchExclusive (or the single-writer Process/ProcessBatch
-// paths), which serializes writers and readers on the statement's own lock.
+// PlanPartitionsHashed/ProcessHashedPairs, and reads are safe at any time.
+// Serialized statements — plain sketches, the baselines, sliding windows —
+// must be fed through ProcessBatchExclusive (or the single-writer
+// Process/ProcessBatch paths), which serializes writers and readers on the
+// statement's own lock.
 type Statement struct {
 	query   Query
 	projA   stream.Proj
@@ -39,16 +40,9 @@ type Statement struct {
 	// estimator does not provide one; cached here so the per-tuple path pays
 	// no interface assertion.
 	bytes imps.BytesAdder
-	// part is est's partitioned concurrent ingest path, nil for the
-	// serialized class.
+	// part is est's partitioned concurrent ingest path (plan-time key
+	// hashing, hash-routed apply), nil for the serialized class.
 	part imps.PartitionedAdder
-	// partStr is est's string-key partition routing, nil when part is nil
-	// or the estimator routes bytes only.
-	partStr imps.StringPartitioner
-	// hashed is est's hash-forwarding ingest path (plan-time key hashing,
-	// hash-routed apply), nil when the estimator cannot consume forwarded
-	// hashes.
-	hashed imps.HashedPartitionedAdder
 	// estMu guards the estimator for the serialized class: exclusive for
 	// writers (ProcessBatchExclusive, Exclusive), shared for readers
 	// (Count). Statements aliasing one estimator alias its lock too.
@@ -161,12 +155,6 @@ func (st *Statement) bindEstimator(est imps.Estimator) {
 	st.est = est
 	st.bytes, _ = est.(imps.BytesAdder)
 	st.part, _ = est.(imps.PartitionedAdder)
-	st.partStr = nil
-	st.hashed = nil
-	if st.part != nil {
-		st.partStr, _ = est.(imps.StringPartitioner)
-		st.hashed, _ = est.(imps.HashedPartitionedAdder)
-	}
 }
 
 // Query returns the normalized query.
@@ -207,101 +195,26 @@ func (st *Statement) ProcessBatch(ts []stream.Tuple) {
 }
 
 // PartitionSafe reports the statement's concurrency class: true when its
-// estimator accepts partitioned concurrent ingest (PlanPartitions /
-// ProcessPairs), false when ingest must be serialized through
+// estimator accepts partitioned concurrent ingest (PlanPartitionsHashed /
+// ProcessHashedPairs), false when ingest must be serialized through
 // ProcessBatchExclusive.
 func (st *Statement) PartitionSafe() bool { return st.part != nil }
 
-// PlanPartitions runs the statement's filters and projections over a batch
-// and splits the surviving pairs into parts buckets along the estimator's
-// own ingest partitions (parts must be a power of two >= 1). buckets is
-// recycled when it has the capacity; the returned slice has length parts.
+// PlanPartitionsHashed runs the statement's filters and projections over a
+// batch and splits the surviving pairs into parts buckets along the
+// estimator's own ingest partitions (parts must be a power of two >= 1).
+// Every pair carries the estimator's own key hashes, computed here once so
+// the apply path never hashes again. buckets is recycled when it has the
+// capacity; the returned slice has length parts.
 //
 // Planning touches no statement or estimator state — it is safe to call
 // concurrently from any number of goroutines, unlike Process/ProcessBatch —
 // so batch planning can run on connection readers while workers apply
-// earlier batches. Feeding every bucket p through ProcessPairs such that
-// each bucket's pair order is preserved reproduces the serial
+// earlier batches. Feeding every bucket through ProcessHashedPairs such
+// that each bucket's pair order is preserved reproduces the serial
 // ProcessBatch state bit for bit; buckets of different batches may be
 // applied concurrently as long as same-partition buckets stay ordered.
 // Only valid for partition-safe statements.
-func (st *Statement) PlanPartitions(ts []stream.Tuple, parts int, buckets [][]imps.Pair) [][]imps.Pair {
-	if cap(buckets) >= parts {
-		buckets = buckets[:parts]
-		for i := range buckets {
-			buckets[i] = buckets[i][:0]
-		}
-	} else {
-		buckets = make([][]imps.Pair, parts)
-	}
-	// One-attribute projections need no key assembly — the key IS the
-	// tuple's value — so when the estimator also routes string keys, the
-	// loop allocates nothing: pairs reference the batch's own strings.
-	// (Estimators that store keys clone them on first insert, so a stored
-	// key never pins its batch buffer; see exact.Counter.Add.)
-	aIdx, aOne := st.projA.Single()
-	bIdx, bOne := -1, true
-	if st.hasB {
-		bIdx, bOne = st.projB.Single()
-	}
-	fast := aOne && bOne && st.partStr != nil
-	// Local key buffers: st.bufA/bufB belong to the single-writer paths and
-	// must not be shared by concurrent planners.
-	var bufA, bufB []byte
-	for i := range ts {
-		t := ts[i]
-		ok := true
-		for _, f := range st.filters {
-			if (t[f.idx] == f.value) == f.negate {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		if fast {
-			a := t[aIdx]
-			var b string
-			if st.hasB {
-				b = t[bIdx]
-			}
-			p := st.partStr.IngestPartitionString(a, parts)
-			buckets[p] = append(buckets[p], imps.Pair{A: a, B: b})
-			continue
-		}
-		bufA = st.projA.AppendKey(bufA[:0], t)
-		if st.hasB {
-			bufB = st.projB.AppendKey(bufB[:0], t)
-		} else {
-			bufB = bufB[:0]
-		}
-		p := st.part.IngestPartition(bufA, parts)
-		buckets[p] = append(buckets[p], imps.Pair{A: string(bufA), B: string(bufB)})
-	}
-	return buckets
-}
-
-// ProcessPairs feeds one planned partition bucket to the estimator. Safe
-// for concurrent use across distinct partitions (the partition contract);
-// only valid for partition-safe statements.
-func (st *Statement) ProcessPairs(pairs []imps.Pair) {
-	st.part.AddBatch(pairs)
-}
-
-// HashedPartitionSafe reports whether the statement's estimator accepts the
-// hash-once plan IR (PlanPartitionsHashed / ProcessHashedPairs): the
-// planner computes the estimator's own key hashes once and the apply path
-// consumes them instead of re-hashing.
-func (st *Statement) HashedPartitionSafe() bool { return st.hashed != nil }
-
-// PlanPartitionsHashed is PlanPartitions emitting the hash-once IR: every
-// surviving pair carries the estimator's own key hashes, computed here so
-// the apply path (ProcessHashedPairs) never hashes again. Bucketing is
-// bit-identical to PlanPartitions — IngestPartitionHashed over a
-// HashPairKeys hash equals IngestPartitionString by contract — and so is
-// the resulting estimator state. Pure like PlanPartitions; only valid when
-// HashedPartitionSafe reports true.
 func (st *Statement) PlanPartitionsHashed(ts []stream.Tuple, parts int, buckets [][]imps.HashedPair) [][]imps.HashedPair {
 	if cap(buckets) >= parts {
 		buckets = buckets[:parts]
@@ -348,18 +261,18 @@ func (st *Statement) PlanPartitionsHashed(ts []stream.Tuple, parts int, buckets 
 			}
 			a, b = string(bufA), string(bufB)
 		}
-		ah, bh := st.hashed.HashPairKeys(a, b)
-		p := st.hashed.IngestPartitionHashed(ah, parts)
+		ah, bh := st.part.HashPairKeys(a, b)
+		p := st.part.IngestPartitionHashed(ah, parts)
 		buckets[p] = append(buckets[p], imps.HashedPair{A: a, B: b, AH: ah, BH: bh})
 	}
 	return buckets
 }
 
-// ProcessHashedPairs feeds one hash-once planned bucket to the estimator.
-// Same concurrency contract as ProcessPairs; only valid when
-// HashedPartitionSafe reports true.
+// ProcessHashedPairs feeds one planned partition bucket to the estimator.
+// Safe for concurrent use across distinct partitions (the partition
+// contract); only valid for partition-safe statements.
 func (st *Statement) ProcessHashedPairs(pairs []imps.HashedPair) {
-	st.hashed.AddHashedPairs(pairs)
+	st.part.AddHashedPairs(pairs)
 }
 
 // ProcessBatchExclusive feeds a batch through the statement under its
