@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race race bench bench-serve bench-ingest bench-obs bench-gate examples experiments paper clean checkpoint-fault serve-smoke serve-soak obs-smoke cluster-smoke tenant-smoke fleet-obs-smoke
+.PHONY: all build vet test test-race race bench bench-serve bench-ingest bench-obs bench-gate examples experiments paper clean checkpoint-fault fuzz-smoke serve-smoke serve-soak obs-smoke cluster-smoke tenant-smoke fleet-obs-smoke
 
 all: build vet test
 
@@ -28,6 +28,22 @@ checkpoint-fault:
 		./internal/checkpoint/ ./internal/query/ ./internal/stream/ \
 		./internal/core/ ./internal/exact/ ./internal/lossy/ ./internal/dsample/ ./cmd/impstat/
 	$(GO) test -run FuzzCheckpointDecode -fuzz FuzzCheckpointDecode -fuzztime 10s ./internal/checkpoint/
+
+# Every fuzz target for a few seconds: the decoders that read another
+# process's bytes (checkpoint, sketch, frame, batch, telemetry snapshot)
+# and the query lexer and parser. `go test -fuzz` takes one target in one
+# package per run. Minimizing a newly interesting input costs time
+# quadratic in its length, and a telemetry snapshot is over 4 KiB, so
+# minimization is capped at 100 runs per input; uncapped, it takes the whole
+# time budget.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/checkpoint/
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalSketch$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameReaderEquivalence$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/proto/
+	$(GO) test -run '^$$' -fuzz '^FuzzLex$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/query/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/query/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/stream/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/telemetry/
 
 # Serving-layer smoke: start impserved on loopback, ingest 100k tuples
 # through the wire protocol, query, shut down gracefully, and assert the

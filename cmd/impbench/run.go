@@ -26,7 +26,6 @@ type config struct {
 	window     int
 	leaves     int
 	tenants    int
-	shards     int
 	gate       string
 }
 
@@ -47,7 +46,6 @@ func parseFlags(args []string) (*config, error) {
 	fs.IntVar(&cfg.window, "window", 0, "serve experiment per-producer pipelining window in batches (default 16)")
 	fs.IntVar(&cfg.leaves, "leaves", 0, "serve/obs fleet mode: a coordinator fronting N leaf servers (serve: replaces the transport sweep; obs: adds fleet rows after the single-server pair); 0: single server")
 	fs.IntVar(&cfg.tenants, "tenants", 0, "serve experiment multi-tenant rows: one server hosting N named tenants, producers pinned round-robin; 0: off")
-	fs.IntVar(&cfg.shards, "dispatch-shards", 0, "serve experiment fair-dispatch shard count per lane (0: 1, the single-dispatcher path)")
 	fs.StringVar(&cfg.gate, "gate", "", "compare serve throughput against this baseline JSON and fail on a >25% regression")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -267,13 +265,12 @@ func run(cfg *config, w io.Writer) error {
 	if want("serve") {
 		ran = true
 		scfg := experiments.ServeConfig{
-			Seed:           cfg.seed,
-			Producers:      cfg.parallel,
-			Procs:          procs,
-			Window:         cfg.window,
-			Leaves:         cfg.leaves,
-			Tenants:        cfg.tenants,
-			DispatchShards: cfg.shards,
+			Seed:      cfg.seed,
+			Producers: cfg.parallel,
+			Procs:     procs,
+			Window:    cfg.window,
+			Leaves:    cfg.leaves,
+			Tenants:   cfg.tenants,
 		}
 		if cfg.paper {
 			scfg.Tuples = 2_000_000

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"implicate"
+	"implicate/internal/proto"
 )
 
 // queryList collects repeated -q flags; their order is their statement id,
@@ -117,8 +118,8 @@ func (cfg *config) validate() error {
 	if cfg.parts < len(specs) {
 		return fmt.Errorf("-parts %d cannot cover %d leaves", cfg.parts, len(specs))
 	}
-	if cfg.flush < 1 {
-		return fmt.Errorf("-flush must be >= 1, got %d", cfg.flush)
+	if cfg.flush < 1 || cfg.flush > proto.MaxBatchTuples {
+		return fmt.Errorf("-flush must be in [1, %d], got %d", proto.MaxBatchTuples, cfg.flush)
 	}
 	if cfg.probeFails < 1 {
 		return fmt.Errorf("-probe-fails must be >= 1, got %d", cfg.probeFails)

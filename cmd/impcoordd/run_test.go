@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"implicate"
+	"implicate/internal/proto"
 )
 
 func TestParseFlags(t *testing.T) {
@@ -68,6 +69,8 @@ func TestValidateFlagCombinations(t *testing.T) {
 		{"parts not power of two", func(c *config) { c.parts = 48 }, "-parts"},
 		{"parts under fleet", func(c *config) { c.parts = 1 }, "cannot cover"},
 		{"zero flush", func(c *config) { c.flush = 0 }, "-flush"},
+		{"flush at the leaf batch bound", func(c *config) { c.flush = proto.MaxBatchTuples }, ""},
+		{"flush over the leaf batch bound", func(c *config) { c.flush = proto.MaxBatchTuples + 1 }, "-flush"},
 		{"zero probe fails", func(c *config) { c.probeFails = 0 }, "-probe-fails"},
 		{"zero probe period", func(c *config) { c.probeEvery = 0 }, "positive"},
 	}

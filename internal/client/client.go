@@ -594,34 +594,10 @@ func (p *PendingIngest) Wait() error {
 	if err != nil {
 		return err
 	}
-	switch f.Type {
-	case proto.TOK:
-		ack, err := proto.DecodeIngestAck(f.Payload)
-		if err != nil {
-			return err
-		}
-		if ack.Tuples != p.n {
-			return fmt.Errorf("client: server acknowledged %d of %d tuples", ack.Tuples, p.n)
-		}
-		return nil
-	case proto.TBusy:
-		busy, err := proto.DecodeBusy(f.Payload)
-		if err != nil {
-			return err
-		}
-		p.cl.backoff(0, busy.RetryAfter)
-		return p.cl.IngestEncoded(p.payload, p.n)
-	case proto.TQuota:
-		q, err := proto.DecodeQuota(f.Payload)
-		if err != nil {
-			return err
-		}
-		return &QuotaRefusal{Msg: q.Msg, RetryAfter: q.RetryAfter}
-	case proto.TError:
-		return remoteError(f)
-	default:
-		return fmt.Errorf("client: unexpected %s reply to ingest", f.Type)
+	if done, err := p.cl.ingestReply(f, p.n, 0); done || err != nil {
+		return err
 	}
+	return p.cl.IngestEncoded(p.payload, p.n)
 }
 
 // Query returns the current answer of the statement registered at index

@@ -58,7 +58,8 @@ type Config struct {
 	VirtualPartitions int
 	// FlushTuples is the per-leaf batch size: routed tuples are buffered
 	// until a leaf's buffer holds this many, then journaled and delivered
-	// as one batch. Default 512.
+	// as one batch. Default 512; at most proto.MaxBatchTuples, the bound a
+	// leaf refuses larger batches at.
 	FlushTuples int
 	// ProbeEvery is the health-probe period per leaf. Default 50ms.
 	ProbeEvery time.Duration
@@ -163,6 +164,11 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if len(cfg.Leaves) == 0 {
 		return nil, fmt.Errorf("coord: at least one leaf is required")
+	}
+	// A flush above the leaves' batch bound would be refused by every leaf
+	// on every delivery, and recovery would resend it forever.
+	if cfg.FlushTuples < 1 || cfg.FlushTuples > proto.MaxBatchTuples {
+		return nil, fmt.Errorf("coord: flush size %d must be in [1, %d] tuples", cfg.FlushTuples, proto.MaxBatchTuples)
 	}
 	seen := make(map[string]bool, len(cfg.Leaves))
 	for _, l := range cfg.Leaves {

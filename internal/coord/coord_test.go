@@ -508,3 +508,47 @@ func TestCoordinatorRejectsWindowedStatements(t *testing.T) {
 		t.Fatal("windowed statement accepted")
 	}
 }
+
+// TestFlushTuplesBoundedByLeafBatch: a flush size above the leaves' batch
+// bound is refused at New — every leaf would refuse every delivery with
+// "batch exceeds", and recovery would resend the same batch forever —
+// while a flush of exactly the bound is delivered and applied.
+func TestFlushTuplesBoundedByLeafBatch(t *testing.T) {
+	fl := newFleet(t, fleetSchema(t))
+	defer fl.closeAll()
+	cfg := Config{
+		Schema:       fl.schema,
+		Statements:   fleetSQL,
+		Leaves:       []LeafSpec{{Name: "l0", Addr: fl.start("l0")}},
+		DrainTimeout: 5 * time.Second,
+		Logf:         t.Logf,
+	}
+	for _, n := range []int{proto.MaxBatchTuples + 1, -1} {
+		cfg.FlushTuples = n
+		if co, err := New(cfg); err == nil {
+			co.Close()
+			t.Fatalf("flush size %d accepted", n)
+		}
+	}
+
+	cfg.FlushTuples = proto.MaxBatchTuples
+	co, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	const total = proto.MaxBatchTuples + 5 // one full-bound batch plus a remainder
+	if err := co.Ingest(fleetTuples(total)); err != nil {
+		t.Fatal(err)
+	}
+	if err := co.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := co.Query(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Tuples != total {
+		t.Fatalf("fleet applied %d tuples, want %d", res.Tuples, total)
+	}
+}

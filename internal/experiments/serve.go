@@ -68,10 +68,6 @@ type ServeConfig struct {
 	// cannot), so fleet rows are not count-comparable with tcp/udp rows and
 	// replace them.
 	Leaves int
-	// DispatchShards is the fair-dispatch shard count per tenant lane
-	// (server.Config.DispatchShards); 0 selects 1, the single-dispatcher
-	// path.
-	DispatchShards int
 	// Seed drives the workload generator.
 	Seed int64
 }
@@ -295,12 +291,11 @@ func runServeVariant(cfg ServeConfig, schema *stream.Schema, payloads [][]encBat
 		return ServeRow{}, err
 	}
 	sc := server.Config{
-		Addr:           "127.0.0.1:0",
-		Schema:         schema,
-		Engine:         eng,
-		QueueDepth:     cfg.Queue,
-		Workers:        workers,
-		DispatchShards: cfg.DispatchShards,
+		Addr:       "127.0.0.1:0",
+		Schema:     schema,
+		Engine:     eng,
+		QueueDepth: cfg.Queue,
+		Workers:    workers,
 		// Blocking backpressure: with pipelined producers, a busy-refused
 		// batch would be re-sent behind its successors and reorder the
 		// per-key stream the determinism cross-check depends on.
@@ -395,15 +390,14 @@ func runServeTenantsVariant(cfg ServeConfig, schema *stream.Schema, payloads [][
 		}
 	}
 	srv, err := server.Listen(server.Config{
-		Addr:           "127.0.0.1:0",
-		Schema:         schema,
-		Engine:         query.NewEngine(schema), // default tenant: present, idle
-		QueueDepth:     cfg.Queue,
-		Workers:        workers,
-		DispatchShards: cfg.DispatchShards,
-		BlockOnFull:    true,
-		Tenants:        tcfgs,
-		Backends:       tenant.Backends{"exact-striped": striped},
+		Addr:        "127.0.0.1:0",
+		Schema:      schema,
+		Engine:      query.NewEngine(schema), // default tenant: present, idle
+		QueueDepth:  cfg.Queue,
+		Workers:     workers,
+		BlockOnFull: true,
+		Tenants:     tcfgs,
+		Backends:    tenant.Backends{"exact-striped": striped},
 	})
 	if err != nil {
 		return ServeRow{}, err
@@ -499,13 +493,12 @@ func runServeFleetVariant(cfg ServeConfig, schema *stream.Schema, payloads [][]e
 			return ServeRow{}, err
 		}
 		srv, err := server.Listen(server.Config{
-			Addr:           "127.0.0.1:0",
-			Schema:         schema,
-			Engine:         eng,
-			QueueDepth:     cfg.Queue,
-			Workers:        workers,
-			DispatchShards: cfg.DispatchShards,
-			BlockOnFull:    true,
+			Addr:        "127.0.0.1:0",
+			Schema:      schema,
+			Engine:      eng,
+			QueueDepth:  cfg.Queue,
+			Workers:     workers,
+			BlockOnFull: true,
 		})
 		if err != nil {
 			closeLeaves()

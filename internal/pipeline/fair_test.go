@@ -35,7 +35,7 @@ func TestFairDRRWeights(t *testing.T) {
 	// Quantum 64 = one batch of credit per weight unit per round; deep
 	// backlogged lanes make the credit (not the backlog) the binding
 	// constraint, which is where the weights bite.
-	f := NewFair(64, 1)
+	f := NewFair(64)
 	var a, b atomic.Int64
 	counts := map[string]*atomic.Int64{"a": &a, "b": &b}
 	var dispatched atomic.Int64
@@ -84,7 +84,7 @@ func TestFairDRRWeights(t *testing.T) {
 // flooding lane must not push the steady lane below ~half the drained
 // batches. This is the noisy-neighbor property at the dispatch layer.
 func TestFairEqualShareUnderSkewedLoad(t *testing.T) {
-	f := NewFair(256, 1)
+	f := NewFair(256)
 	var flood, steady atomic.Int64
 	counts := map[string]*atomic.Int64{"flood": &flood, "steady": &steady}
 	var dispatched atomic.Int64
@@ -136,7 +136,7 @@ func TestFairEqualShareUnderSkewedLoad(t *testing.T) {
 // per-lane FIFO dispatch order (the bit-identity prerequisite), TryEnqueue
 // refusing at capacity, and RemoveLane/Close draining what was admitted.
 func TestFairLaneOrderAndBounds(t *testing.T) {
-	f := NewFair(0, 1)
+	f := NewFair(0)
 	var mu sync.Mutex
 	var order []int
 	f.afterDispatch = func(_ *Lane, tuples int) {
@@ -175,7 +175,7 @@ func TestFairLaneOrderAndBounds(t *testing.T) {
 
 	// A capacity-1 lane refuses the second TryEnqueue while the dispatcher
 	// is held off the first.
-	f2 := NewFair(0, 1)
+	f2 := NewFair(0)
 	gate := make(chan struct{})
 	f2.afterDispatch = func(*Lane, int) { <-gate }
 	l2 := f2.AddLane("t", 1, 1, p, nil)
@@ -202,7 +202,7 @@ func TestFairLaneOrderAndBounds(t *testing.T) {
 // Fence the lane's pool, which is only legal from the dispatching
 // goroutine.
 func TestFairAfterHook(t *testing.T) {
-	f := NewFair(0, 1)
+	f := NewFair(0)
 	p := fairPool(t)
 	var fenced atomic.Int64
 	l := f.AddLane("t", 1, 16, p, func(_ obs.Link, tuples int, _ time.Time) {

@@ -76,9 +76,9 @@ func runDirect(t *testing.T, backend query.Backend, batches [][]stream.Tuple, wo
 	return blobs
 }
 
-// runFair drives batches through a Fair lane with the given dispatch shard
-// count and returns the per-statement state blobs.
-func runFair(t *testing.T, backend query.Backend, batches [][]stream.Tuple, workers, shards int) [][]byte {
+// runFair drives batches through a Fair lane and returns the
+// per-statement state blobs.
+func runFair(t *testing.T, backend query.Backend, batches [][]stream.Tuple, workers int) [][]byte {
 	t.Helper()
 	eng := query.NewEngine(testSchema(t))
 	registerPropSuite(t, eng, backend)
@@ -86,7 +86,7 @@ func runFair(t *testing.T, backend query.Backend, batches [][]stream.Tuple, work
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFair(64, shards)
+	f := NewFair(64)
 	l := f.AddLane("t", 1, 8, pool, nil)
 	for _, ts := range batches {
 		if _, ok := l.Enqueue(pool.Plan(ts)); !ok {
@@ -101,11 +101,11 @@ func runFair(t *testing.T, backend query.Backend, batches [][]stream.Tuple, work
 	return blobs
 }
 
-// TestShardedDispatchDeterminism is the sharded-dispatch property test: for
-// every partition-safe backend, engine state is bit-identical across
-// {single dispatcher, fair dispatch at 1/2/4 shards} × workers {1,2,4,8},
-// and every combination equals the serial reference. Run with -race: the
-// sharded runs exercise concurrent DispatchShard calls over shared batches.
+// TestShardedDispatchDeterminism is the parallel-dispatch property test:
+// for every partition-safe backend, engine state is bit-identical across
+// {direct Pool dispatch, fair dispatch} × workers {1,2,4,8}, and every
+// combination equals the serial reference. Run with -race: the fair runs
+// hand batches from producer goroutines to the dispatcher goroutine.
 func TestShardedDispatchDeterminism(t *testing.T) {
 	batches := workload(24, 300)
 	for _, name := range []string{"sharded", "exact-striped"} {
@@ -120,12 +120,10 @@ func TestShardedDispatchDeterminism(t *testing.T) {
 			for _, workers := range []int{1, 2, 4, 8} {
 				label := fmt.Sprintf("workers=%d", workers)
 				if got := runDirect(t, backend, batches, workers); !blobsEqual(got, want) {
-					t.Errorf("%s: single-dispatcher state diverged from serial", label)
+					t.Errorf("%s: direct-dispatch state diverged from serial", label)
 				}
-				for _, shards := range []int{1, 2, 4} {
-					if got := runFair(t, backend, batches, workers, shards); !blobsEqual(got, want) {
-						t.Errorf("%s/shards=%d: fair-dispatch state diverged from serial", label, shards)
-					}
+				if got := runFair(t, backend, batches, workers); !blobsEqual(got, want) {
+					t.Errorf("%s: fair-dispatch state diverged from serial", label)
 				}
 			}
 		})
@@ -134,8 +132,8 @@ func TestShardedDispatchDeterminism(t *testing.T) {
 
 // TestShardedDispatchMultiTenant checks that DRR interleaving across lanes
 // never leaks into per-tenant state: two lanes with unequal weights, fed
-// concurrently through sharded dispatch, each finish bit-identical to their
-// own serial reference at every shard count.
+// concurrently through one fair dispatcher into 4-worker pools, each
+// finish bit-identical to their own serial reference.
 func TestShardedDispatchMultiTenant(t *testing.T) {
 	batches := workload(30, 200)
 	backend := backends(9)["sharded"]
@@ -148,49 +146,47 @@ func TestShardedDispatchMultiTenant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 2, 4} {
-		f := NewFair(64, shards)
-		engines := make([]*query.Engine, 2)
-		pools := make([]*Pool, 2)
-		lanes := make([]*Lane, 2)
-		for i := range engines {
-			engines[i] = query.NewEngine(testSchema(t))
-			registerPropSuite(t, engines[i], backend)
-			var err error
-			pools[i], err = New(engines[i], Config{Workers: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			lanes[i] = f.AddLane(fmt.Sprintf("t%d", i), 1+2*i, 4, pools[i], nil)
+	f := NewFair(64)
+	engines := make([]*query.Engine, 2)
+	pools := make([]*Pool, 2)
+	lanes := make([]*Lane, 2)
+	for i := range engines {
+		engines[i] = query.NewEngine(testSchema(t))
+		registerPropSuite(t, engines[i], backend)
+		var err error
+		pools[i], err = New(engines[i], Config{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
 		}
-		var wg sync.WaitGroup
-		for i := range lanes {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				for _, ts := range batches {
-					if _, ok := lanes[i].Enqueue(pools[i].Plan(ts)); !ok {
-						t.Error("lane refused an enqueue")
-						return
-					}
+		lanes[i] = f.AddLane(fmt.Sprintf("t%d", i), 1+2*i, 4, pools[i], nil)
+	}
+	var wg sync.WaitGroup
+	for i := range lanes {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for _, ts := range batches {
+				if _, ok := lanes[i].Enqueue(pools[i].Plan(ts)); !ok {
+					t.Error("lane refused an enqueue")
+					return
 				}
-			}(i)
-		}
-		wg.Wait()
-		for i := range lanes {
-			f.RemoveLane(lanes[i])
-		}
-		f.Close()
-		for i := range engines {
-			pools[i].Fence()
-			got, err := engines[i].MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
 			}
-			pools[i].Close()
-			if !bytes.Equal(got, want) {
-				t.Errorf("shards=%d lane %d: state diverged from serial", shards, i)
-			}
+		}(i)
+	}
+	wg.Wait()
+	for i := range lanes {
+		f.RemoveLane(lanes[i])
+	}
+	f.Close()
+	for i := range engines {
+		pools[i].Fence()
+		got, err := engines[i].MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pools[i].Close()
+		if !bytes.Equal(got, want) {
+			t.Errorf("lane %d: state diverged from serial", i)
 		}
 	}
 }

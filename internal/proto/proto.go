@@ -76,6 +76,12 @@ func (tc TraceContext) Valid() bool { return tc.Trace != 0 }
 // or marshalled sketch while keeping a corrupt length harmless.
 const MaxFrame = 1 << 26
 
+// MaxBatchTuples bounds one ingest batch a leaf accepts, over TCP or UDP;
+// a larger batch is refused with an error reply. Producers that choose
+// their own batch size (the coordinator's per-leaf flush) must stay within
+// it.
+const MaxBatchTuples = 1 << 16
+
 // headerLen is the framed byte count excluding the length prefix and the
 // payload: version, type, request id, CRC.
 const headerLen = 1 + 1 + 8 + 4

@@ -102,7 +102,7 @@ func (c *conn) auth(f proto.Frame) wiresrv.Reply {
 // batch's last statement applies.
 func (s *Server) handleIngest(f proto.Frame, t *tenant.Tenant) wiresrv.Reply {
 	b := t.Pool.NewBatch()
-	tuples, err := stream.DecodeBatch(f.Payload, s.cfg.Schema, b.Arena(), s.cfg.MaxBatchTuples)
+	tuples, err := stream.DecodeBatch(f.Payload, s.cfg.Schema, b.Arena(), proto.MaxBatchTuples)
 	switch {
 	case err != nil:
 		b.Release()

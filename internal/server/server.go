@@ -91,17 +91,6 @@ type Config struct {
 	// fanned out to. Zero selects GOMAXPROCS. Whatever the pool size,
 	// results are bit-identical to a single-worker run.
 	Workers int
-	// DispatchShards is the fair dispatcher's goroutine count: shard k
-	// enqueues the tasks of workers w with w % shards == k, so dispatch
-	// work parallelizes across tenants and partitions while every worker
-	// queue stays single-producer — results remain bit-identical to a
-	// single dispatcher at any shard count. Tenants with periodic
-	// checkpoints are pinned to the serial path regardless. Zero selects 1
-	// (the single-dispatcher mode).
-	DispatchShards int
-	// MaxBatchTuples bounds one ingest batch; larger batches are rejected
-	// as errors. Default 65536.
-	MaxBatchTuples int
 	// CheckpointPath, when non-empty, makes the server write the default
 	// tenant's checkpoints there — every CheckpointEvery applied tuples and
 	// once on graceful Close.
@@ -171,17 +160,11 @@ func (c Config) withDefaults() Config {
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.MaxBatchTuples == 0 {
-		c.MaxBatchTuples = 1 << 16
-	}
 	if c.RetryAfter == 0 {
 		c.RetryAfter = 20 * time.Millisecond
 	}
 	if c.UDPWindow == 0 {
 		c.UDPWindow = 256
-	}
-	if c.DispatchShards == 0 {
-		c.DispatchShards = 1
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -239,15 +222,9 @@ func Listen(cfg Config) (*Server, error) {
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("server: worker count %d must be >= 1", cfg.Workers)
 	}
-	if cfg.DispatchShards < 1 {
-		return nil, fmt.Errorf("server: dispatch shard count %d must be >= 1", cfg.DispatchShards)
-	}
 	// The remaining knobs default on zero; a negative value is a caller
-	// bug that would otherwise fail obscurely (every batch rejected, a
-	// checkpoint per batch, a negative retry hint on the wire).
-	if cfg.MaxBatchTuples < 1 {
-		return nil, fmt.Errorf("server: max batch tuples %d must be >= 1", cfg.MaxBatchTuples)
-	}
+	// bug that would otherwise fail obscurely (a checkpoint per batch, a
+	// negative retry hint on the wire).
 	if cfg.CheckpointEvery < 0 {
 		return nil, fmt.Errorf("server: checkpoint interval %d must be >= 0", cfg.CheckpointEvery)
 	}
@@ -280,7 +257,7 @@ func Listen(cfg Config) (*Server, error) {
 	if cfg.TraceSpans > 0 {
 		s.tracer = obs.NewTracer(cfg.TraceSpans)
 	}
-	s.fair = pipeline.NewFair(0, cfg.DispatchShards)
+	s.fair = pipeline.NewFair(0)
 	if cfg.gate != nil {
 		s.fair.SetGate(cfg.gate)
 	}
@@ -344,10 +321,8 @@ func (s *Server) attach(t *tenant.Tenant) error {
 
 // afterDispatch builds the tenant's post-dispatch hook: the dispatch span
 // and the periodic-checkpoint cadence, both running in the dispatcher
-// goroutine (the only legal place to fence the tenant's pool — a non-nil
-// hook pins the tenant's lane to the serial dispatch path, see
-// pipeline.Fair.AddLane). Nil when neither applies, so the plain fast path
-// takes no per-batch clock reads and stays eligible for sharded dispatch.
+// goroutine (the only legal place to fence the tenant's pool). Nil when
+// neither applies, so the plain fast path takes no per-batch clock reads.
 // The hook receives the batch's tuple count rather than the batch: the
 // pool may have recycled the batch by the time the hook runs.
 func (s *Server) afterDispatch(t *tenant.Tenant) func(link obs.Link, tuples int, start time.Time) {
@@ -469,7 +444,7 @@ func (s *Server) DropTenant(name string) error {
 func (s *Server) TenantStats() []telemetry.TenantStats { return s.snapshot().Tenants }
 
 // snapshot freezes the telemetry set, appending per-tenant rows when named
-// tenants exist and per-shard dispatch rows when dispatch is sharded.
+// tenants exist.
 func (s *Server) snapshot() telemetry.Snapshot {
 	sn := s.tel.Snapshot()
 	if s.reg.Len() > 0 {
@@ -479,18 +454,6 @@ func (s *Server) snapshot() telemetry.Snapshot {
 		}
 		sort.Slice(ts, func(i, j int) bool { return ts[i].Name < ts[j].Name })
 		sn.Tenants = ts
-	}
-	if s.cfg.DispatchShards > 1 {
-		tens := []*tenant.Tenant{s.def}
-		tens = append(tens, s.reg.List()...)
-		sort.Slice(tens, func(i, j int) bool { return tens[i].Name() < tens[j].Name() })
-		for _, t := range tens {
-			for k, st := range t.Lane.ShardStats() {
-				sn.Shards = append(sn.Shards, telemetry.ShardStats{
-					Lane: t.Name(), Shard: int64(k), Tasks: st.Tasks, HighWater: st.HighWater,
-				})
-			}
-		}
 	}
 	return sn
 }

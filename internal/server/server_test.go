@@ -149,7 +149,7 @@ func TestServerIngestQueryStats(t *testing.T) {
 
 func TestServerIngestRejectsBadBatches(t *testing.T) {
 	schema := testSchema(t)
-	srv := startServer(t, Config{Schema: schema, Engine: testEngine(t, schema, exactBackend()), MaxBatchTuples: 10})
+	srv := startServer(t, Config{Schema: schema, Engine: testEngine(t, schema, exactBackend())})
 	cl := dialClient(t, srv, schema, client.Options{})
 
 	// Schema mismatch: the batch header names different attributes.
@@ -166,8 +166,8 @@ func TestServerIngestRejectsBadBatches(t *testing.T) {
 		t.Fatalf("schema mismatch not rejected: %v", err)
 	}
 
-	// Oversized batch.
-	if err := cl.IngestBatch(makeTuples(11, 5)); !errors.As(err, &remote) || !strings.Contains(err.Error(), "exceeds") {
+	// Oversized batch: one tuple past the leaf's batch bound.
+	if err := cl.IngestBatch(makeTuples(proto.MaxBatchTuples+1, 5)); !errors.As(err, &remote) || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("oversize batch not rejected: %v", err)
 	}
 
@@ -454,12 +454,6 @@ func TestListenValidation(t *testing.T) {
 	}
 	if _, err := Listen(Config{Addr: "127.0.0.1:0", Schema: schema, Engine: eng, Workers: -1}); err == nil {
 		t.Error("negative workers accepted")
-	}
-	if _, err := Listen(Config{Addr: "127.0.0.1:0", Schema: schema, Engine: eng, DispatchShards: -1}); err == nil {
-		t.Error("negative dispatch shards accepted")
-	}
-	if _, err := Listen(Config{Addr: "127.0.0.1:0", Schema: schema, Engine: eng, MaxBatchTuples: -1}); err == nil {
-		t.Error("negative max batch tuples accepted")
 	}
 	if _, err := Listen(Config{Addr: "127.0.0.1:0", Schema: schema, Engine: eng, CheckpointEvery: -1}); err == nil {
 		t.Error("negative checkpoint interval accepted")

@@ -181,7 +181,7 @@ func (l *udpLane) apply(src *udpSource, seq uint64, payload []byte, retained boo
 		return
 	}
 	b := l.s.def.Pool.NewBatch()
-	tuples, err := stream.DecodeBatch(payload, l.s.cfg.Schema, b.Arena(), l.s.cfg.MaxBatchTuples)
+	tuples, err := stream.DecodeBatch(payload, l.s.cfg.Schema, b.Arena(), proto.MaxBatchTuples)
 	if err != nil {
 		b.Release()
 	} else {

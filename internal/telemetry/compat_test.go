@@ -67,7 +67,6 @@ func TestDecodeSnapshotRejectsLongerRPCList(t *testing.T) {
 		}
 	}
 	e.U32(0) // no tenants
-	e.U32(0) // no shards
 	if _, err := DecodeSnapshot(e.Bytes()); err == nil || !strings.Contains(err.Error(), "geometry") {
 		t.Fatalf("snapshot with unknown extra RPCs accepted: %v", err)
 	}

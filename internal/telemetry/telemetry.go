@@ -362,22 +362,6 @@ type Snapshot struct {
 	// Tenants holds per-tenant counters, one entry per registered tenant,
 	// sorted by name. Nil on single-tenant servers.
 	Tenants []TenantStats
-	// Shards holds per-dispatch-shard counters for servers running the
-	// sharded Fair dispatcher, ordered (lane, shard). Nil on the
-	// single-dispatcher path.
-	Shards []ShardStats
-}
-
-// ShardStats is one (lane, dispatch shard) pair's frozen counters.
-type ShardStats struct {
-	// Lane is the name of the tenant lane the shard dispatches for.
-	Lane string
-	// Shard is the dispatch shard index within the lane.
-	Shard int64
-	// Tasks counts worker tasks the shard enqueued.
-	Tasks int64
-	// HighWater is the shard's deepest unconsumed backlog in batches.
-	HighWater int64
 }
 
 // TenantStats is one tenant's frozen counters.
@@ -413,16 +397,17 @@ type WorkerStats struct {
 }
 
 // snapshotMagic opens the one snapshot layout: the fourteen scalar
-// counters, the worker block, the histogram geometry and counts, the
-// tenant block and the shard block, every block always present (a count of
-// zero when empty). Every reader — client, imptop and the coordinator
-// roll-up — builds from the same source as every writer, so there is no
-// other version to accept.
-const snapshotMagic = "IMPT\x06"
+// counters, the worker block, the histogram geometry and counts, and the
+// tenant block, every block always present (a count of zero when empty).
+// Every reader — client, imptop and the coordinator roll-up — builds from
+// the same source as every writer, so there is no other version to accept;
+// the version byte changes with the layout, so a reader of another layout
+// fails on the magic.
+const snapshotMagic = "IMPT\x07"
 
 // Encode serializes the snapshot for the Stats RPC.
 func (sn Snapshot) Encode() []byte {
-	e := wire.NewEncoder(160 + int(NumRPCs)*HistBuckets*8 + len(sn.Workers)*16 + len(sn.Tenants)*72 + len(sn.Shards)*32)
+	e := wire.NewEncoder(160 + int(NumRPCs)*HistBuckets*8 + len(sn.Workers)*16 + len(sn.Tenants)*72)
 	e.Raw([]byte(snapshotMagic))
 	for _, v := range sn.counters() {
 		e.I64(*v)
@@ -450,13 +435,6 @@ func (sn Snapshot) Encode() []byte {
 		e.I64(t.MemBytes)
 		e.I64(t.MemBudget)
 		e.I64(t.QueueHighWater)
-	}
-	e.U32(uint32(len(sn.Shards)))
-	for _, sh := range sn.Shards {
-		e.Str(sh.Lane)
-		e.I64(sh.Shard)
-		e.I64(sh.Tasks)
-		e.I64(sh.HighWater)
 	}
 	return e.Bytes()
 }
@@ -522,31 +500,12 @@ func DecodeSnapshot(data []byte) (Snapshot, error) {
 			}
 		}
 	}
-	// 28 is the smallest possible shard row: empty-lane length prefix plus
-	// three i64 counters.
-	nshards := d.Count(28)
-	if d.Err() == nil && nshards > 0 {
-		sn.Shards = make([]ShardStats, nshards)
-		for i := 0; i < nshards && d.Err() == nil; i++ {
-			sn.Shards[i] = ShardStats{
-				Lane:      d.Str(256),
-				Shard:     d.I64(),
-				Tasks:     d.I64(),
-				HighWater: d.I64(),
-			}
-		}
-	}
 	if err := d.Done(); err != nil {
 		return Snapshot{}, fmt.Errorf("telemetry: %w", err)
 	}
 	for _, v := range sn.counters() {
 		if *v < 0 {
 			return Snapshot{}, fmt.Errorf("%w: negative counter", wire.ErrCorrupt)
-		}
-	}
-	for _, sh := range sn.Shards {
-		if sh.Shard < 0 || sh.Tasks < 0 || sh.HighWater < 0 {
-			return Snapshot{}, fmt.Errorf("%w: negative shard counter", wire.ErrCorrupt)
 		}
 	}
 	for _, w := range sn.Workers {

@@ -262,10 +262,9 @@ func TestRPCStrings(t *testing.T) {
 	}
 }
 
-// TestSnapshotUDPAndShardRoundTrip: the fine-grained UDP counters and the
-// per-shard rows round-trip, alone and beside tenant rows, and a negative
-// shard counter is refused as corruption.
-func TestSnapshotUDPAndShardRoundTrip(t *testing.T) {
+// TestSnapshotUDPRoundTrip: the fine-grained UDP counters round-trip, alone
+// and beside tenant rows.
+func TestSnapshotUDPRoundTrip(t *testing.T) {
 	var s Set
 	s.AddTuples(11)
 	s.AddUDPApplied()
@@ -275,10 +274,6 @@ func TestSnapshotUDPAndShardRoundTrip(t *testing.T) {
 	s.AddUDPReorder()
 	s.AddUDPCRCFailure()
 	want := s.Snapshot()
-	want.Shards = []ShardStats{
-		{Lane: "", Shard: 0, Tasks: 40, HighWater: 3},
-		{Lane: "acme", Shard: 1, Tasks: 7, HighWater: 2},
-	}
 	got, err := DecodeSnapshot(want.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -297,20 +292,13 @@ func TestSnapshotUDPAndShardRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got2, withTenants) {
-		t.Fatalf("tenants+shards round trip mismatch:\n got %+v\nwant %+v", got2, withTenants)
-	}
-
-	bad := want
-	bad.Shards = []ShardStats{{Lane: "x", Tasks: -1}}
-	if _, err := DecodeSnapshot(bad.Encode()); err == nil || !strings.Contains(err.Error(), "negative shard") {
-		t.Errorf("negative shard counter accepted: %v", err)
+		t.Fatalf("tenants round trip mismatch:\n got %+v\nwant %+v", got2, withTenants)
 	}
 }
 
 // TestSnapshotGoldenBytes pins the one snapshot layout byte for byte:
 // magic, the fourteen scalar counters in order, the worker block, the
-// histogram geometry and counts, the tenant block and the shard block, all
-// little-endian. The expected bytes are spelled out independently of the
+// histogram geometry and counts, and the tenant block, all little-endian. The expected bytes are spelled out independently of the
 // encoder, so any layout change fails here first.
 func TestSnapshotGoldenBytes(t *testing.T) {
 	sn := Snapshot{
@@ -320,7 +308,6 @@ func TestSnapshotGoldenBytes(t *testing.T) {
 		Workers: []WorkerStats{{Tasks: 15, Units: 16}},
 		Tenants: []TenantStats{{Name: "t", Weight: 17, Tuples: 18, Batches: 19, Rejected: 20,
 			QuotaRefusals: 21, MemBytes: 22, MemBudget: 23, QueueHighWater: 24}},
-		Shards: []ShardStats{{Lane: "s", Shard: 25, Tasks: 26, HighWater: 27}},
 	}
 	sn.Latency[RPCQuery].Counts[3] = 0x0102030405060708
 
@@ -336,12 +323,11 @@ func TestSnapshotGoldenBytes(t *testing.T) {
 	hist := strings.Repeat("00", 8*HistBuckets*int(RPCQuery)) + // RPCIngest
 		strings.Repeat("00", 8*3) + "0807060504030201" + strings.Repeat("00", 8*(HistBuckets-4)) +
 		strings.Repeat("00", 8*HistBuckets*int(NumRPCs-RPCQuery-1))
-	want := "494d505406" + // "IMPT\x06"
+	want := "494d505407" + // "IMPT\x07"
 		u64(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14) +
 		"01000000" + u64(15, 16) + // one worker
 		"0a000000" + "32000000" + hist + // 10 RPCs × 50 buckets
-		"01000000" + "01000000" + "74" + u64(17, 18, 19, 20, 21, 22, 23, 24) + // tenant "t"
-		"01000000" + "01000000" + "73" + u64(25, 26, 27) // shard "s"
+		"01000000" + "01000000" + "74" + u64(17, 18, 19, 20, 21, 22, 23, 24) // tenant "t"
 	if got := hex.EncodeToString(sn.Encode()); got != want {
 		t.Fatalf("snapshot encoding drifted:\n got %s\nwant %s", got, want)
 	}
